@@ -585,9 +585,11 @@ class MicroBlazeCore(SimComponent):
         """Drop decoded entries overlapped by a write to ``address``.
 
         Called on every executed store (and by the interception layer's
-        native writes), keeping the decoded-program cache safe under
+        native byte writes), keeping the decoded-program cache safe under
         self-modifying code.  A popped entry is also flagged invalid so
         basic-block links pointing at it can never execute stale code.
+        ``size`` is a store's (at most 4): only the words holding the first
+        and the last byte are checked; see :meth:`invalidate_code_range`.
         """
         cache = self._decoded
         if not cache:
@@ -600,6 +602,29 @@ class MicroBlazeCore(SimComponent):
             self.stats.decoded_invalidations += 1
         if last != first:
             entry = cache.pop(last, None)
+            if entry is not None:
+                entry.valid = False
+                self.stats.decoded_invalidations += 1
+
+    def invalidate_code_range(self, address: int, length: int) -> None:
+        """Drop decoded entries overlapped by ``length`` written bytes.
+
+        The range form of :meth:`invalidate_code` for a native ``memset``
+        or ``memcpy``: the same entries go, with the same statistics, as
+        when each byte is invalidated on its own.
+        """
+        cache = self._decoded
+        if not cache or length <= 0:
+            return
+        first = address & ~3
+        last = (address + length - 1) & ~3
+        if (last - first) // 4 < len(cache):
+            words = range(first, last + 4, 4)
+        else:
+            words = [pc for pc in cache
+                     if first <= pc <= last and not pc & 3]
+        for pc in words:
+            entry = cache.pop(pc, None)
             if entry is not None:
                 entry.valid = False
                 self.stats.decoded_invalidations += 1

@@ -12,6 +12,14 @@ operate on a *direct memory* interface (the backing store behind the bus
 models), so no bus transactions and no simulated cycles are consumed --
 only the architectural effect remains, which is why the optimisation is
 neither cycle accurate nor statistics preserving.
+
+A handler runs its whole call as one region-level operation --
+:meth:`DirectMemory.fill` or :meth:`DirectMemory.copy`, a single slice
+operation on the backing store -- so its host cost barely grows with the
+length.  Only a range that no single writable region holds takes the byte
+loop, which writes what a store loop would and faults where it would.
+Either way the memory contents, the access counters and the
+decoded-program cache end up as the byte loop leaves them.
 """
 
 from __future__ import annotations
@@ -34,6 +42,21 @@ class DirectMemory(Protocol):
     def write(self, address: int, value: int, size: int) -> None:
         """Write ``size`` bytes of ``value`` at ``address``."""
 
+    def fill(self, dest: int, value: int, length: int) -> bool:
+        """Set ``length`` bytes from ``dest`` to the byte ``value``.
+
+        Returns False, touching nothing, unless one writable region holds
+        the whole range.
+        """
+
+    def copy(self, dest: int, src: int, length: int) -> bool:
+        """Copy ``length`` bytes from ``src`` to ``dest`` as a forward byte
+        loop would, overlap included.
+
+        Returns False, touching nothing, unless one region holds the source
+        range and one writable region the destination range.
+        """
+
 
 class InvalidatingDirectMemory:
     """:class:`DirectMemory` adapter that keeps a decoded-program cache
@@ -51,6 +74,18 @@ class InvalidatingDirectMemory:
     def write(self, address: int, value: int, size: int) -> None:
         self._memory.write(address, value, size)
         self._core.invalidate_code(address, size)
+
+    def fill(self, dest: int, value: int, length: int) -> bool:
+        if not self._memory.fill(dest, value, length):
+            return False
+        self._core.invalidate_code_range(dest, length)
+        return True
+
+    def copy(self, dest: int, src: int, length: int) -> bool:
+        if not self._memory.copy(dest, src, length):
+            return False
+        self._core.invalidate_code_range(dest, length)
+        return True
 
 
 @dataclass
@@ -79,8 +114,11 @@ def memset_handler(core: MicroBlazeCore,
     dest = core.regs.read(ARGUMENT_REGISTERS[0])
     value = core.regs.read(ARGUMENT_REGISTERS[1]) & 0xFF
     length = core.regs.read(ARGUMENT_REGISTERS[2])
-    for offset in range(length):
-        memory.write(dest + offset, value, 1)
+    if not memory.fill(dest, value, length):
+        # No single writable region holds the range: store byte by byte,
+        # faulting exactly where the routine's store loop would.
+        for offset in range(length):
+            memory.write(dest + offset, value, 1)
     core.regs.write(RETURN_VALUE_REGISTER, dest)
     skipped = CALL_OVERHEAD_INSTRUCTIONS \
         + length * MEMSET_INSTRUCTIONS_PER_BYTE
@@ -93,8 +131,9 @@ def memcpy_handler(core: MicroBlazeCore,
     dest = core.regs.read(ARGUMENT_REGISTERS[0])
     src = core.regs.read(ARGUMENT_REGISTERS[1])
     length = core.regs.read(ARGUMENT_REGISTERS[2])
-    for offset in range(length):
-        memory.write(dest + offset, memory.read(src + offset, 1), 1)
+    if not memory.copy(dest, src, length):
+        for offset in range(length):
+            memory.write(dest + offset, memory.read(src + offset, 1), 1)
     core.regs.write(RETURN_VALUE_REGISTER, dest)
     skipped = CALL_OVERHEAD_INSTRUCTIONS \
         + length * MEMCPY_INSTRUCTIONS_PER_BYTE

@@ -1,6 +1,6 @@
 """Peripheral models of the MicroBlaze VanillaNet platform."""
 
-from .dispatcher import DispatcherDirectMemory, MemoryDispatcher
+from .dispatcher import MemoryDispatcher
 from .ethernet import EthernetMacProxy
 from .gpio import Gpio
 from .intc import InterruptController
@@ -12,7 +12,6 @@ from .uart import ConsoleSink, UartLite
 
 __all__ = [
     "ConsoleSink",
-    "DispatcherDirectMemory",
     "EthernetMacProxy",
     "FlashController",
     "Gpio",

@@ -119,30 +119,7 @@ class MemoryDispatcher(SimComponent):
         self.instruction_fetches = state["instruction_fetches"]
         self.data_accesses = state["data_accesses"]
 
-    # -- DirectMemory protocol (used by the kernel-function interceptor) ----------------------
-    def direct_read(self, address: int, size: int) -> int:
-        """Zero-time read for interception handlers."""
-        return self.memory_map.read(address, size)
-
-    def direct_write(self, address: int, value: int, size: int) -> None:
-        """Zero-time write for interception handlers."""
-        self.memory_map.write(address, value, size)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"MemoryDispatcher(ifetch={self.handle_instruction_fetches}, "
                 f"main_memory={self.handle_main_memory})")
 
-
-class DispatcherDirectMemory:
-    """Adapter exposing a dispatcher as the interceptor's DirectMemory."""
-
-    def __init__(self, dispatcher: MemoryDispatcher) -> None:
-        self.dispatcher = dispatcher
-
-    def read(self, address: int, size: int) -> int:
-        """Read bytes directly from the backing stores."""
-        return self.dispatcher.direct_read(address, size)
-
-    def write(self, address: int, value: int, size: int) -> None:
-        """Write bytes directly to the backing stores."""
-        self.dispatcher.direct_write(address, value, size)

@@ -49,15 +49,18 @@ class MemoryStorage(SimComponent):
 
     def _offset(self, address: int, size: int) -> int:
         if not self.contains(address, size):
-            raise AddressError(
-                f"address {address:#010x} (+{size}) outside memory "
-                f"{self.name!r} [{self.base_address:#010x}, "
-                f"{self.end_address:#010x})")
+            raise self._outside(address, size)
         if size > 1 and address % size != 0:
             raise AlignmentError(
                 f"misaligned {size}-byte access at {address:#010x} "
                 f"in {self.name!r}")
         return address - self.base_address
+
+    def _outside(self, address: int, size: int) -> AddressError:
+        return AddressError(
+            f"address {address:#010x} (+{size}) outside memory "
+            f"{self.name!r} [{self.base_address:#010x}, "
+            f"{self.end_address:#010x})")
 
     # -- generic access ----------------------------------------------------------
     def read(self, address: int, size: int = 4) -> int:
@@ -79,6 +82,26 @@ class MemoryStorage(SimComponent):
         self.write_accesses += 1
         self._data[offset:offset + size] = (value & mask(size * 8)).to_bytes(
             size, "big")
+
+    def read_bytes(self, address: int, length: int) -> bytes:
+        """Read ``length`` bytes at once, counted as ``length`` byte reads."""
+        if not self.contains(address, length):
+            raise self._outside(address, length)
+        offset = address - self.base_address
+        self.read_accesses += length
+        return bytes(self._data[offset:offset + length])
+
+    def write_bytes(self, address: int, data: bytes) -> None:
+        """Write ``data`` at once, counted as ``len(data)`` byte writes."""
+        if self.read_only:
+            raise AddressError(f"write to read-only memory {self.name!r} "
+                               f"at {address:#010x}")
+        length = len(data)
+        if not self.contains(address, length):
+            raise self._outside(address, length)
+        offset = address - self.base_address
+        self.write_accesses += length
+        self._data[offset:offset + length] = data
 
     # -- convenience accessors --------------------------------------------------------
     def read_word(self, address: int) -> int:
@@ -145,7 +168,8 @@ class MemoryMap(SimComponent):
     """A collection of :class:`MemoryStorage` regions with routing.
 
     Provides the flat ``read``/``write`` interface the functional ISS mode,
-    the memory dispatcher and the kernel-function interceptor use.
+    the memory dispatcher and the kernel-function interceptor use, plus the
+    interceptor's whole-range ``fill``/``copy``.
     """
 
     def __init__(self, regions: Optional[Iterable[MemoryStorage]] = None
@@ -195,6 +219,44 @@ class MemoryMap(SimComponent):
     def write(self, address: int, value: int, size: int = 4) -> None:
         """Write ``size`` bytes to whichever region claims ``address``."""
         self.region_for(address, size).write(address, value, size)
+
+    def fill(self, dest: int, value: int, length: int) -> bool:
+        """Set ``length`` bytes from ``dest`` to the byte ``value``.
+
+        Returns False, touching nothing, unless one writable region holds
+        the whole range.
+        """
+        region = self._holding(dest, length)
+        if region is None or region.read_only:
+            return False
+        region.write_bytes(dest, bytes((value & 0xFF,)) * length)
+        return True
+
+    def copy(self, dest: int, src: int, length: int) -> bool:
+        """Copy ``length`` bytes from ``src`` to ``dest`` in one operation.
+
+        The result equals a forward byte-by-byte copy, overlapping ranges
+        included.  Returns False, touching nothing, unless one region holds
+        the source range and one writable region the destination range.
+        """
+        source = self._holding(src, length)
+        target = self._holding(dest, length)
+        if source is None or target is None or target.read_only:
+            return False
+        data = source.read_bytes(src, length)
+        if source is target and src < dest < src + length:
+            # A forward byte copy reads bytes it has already written, so
+            # the destination repeats the first ``dest - src`` source bytes.
+            stride = dest - src
+            data = (data[:stride] * (length // stride + 1))[:length]
+        target.write_bytes(dest, data)
+        return True
+
+    def _holding(self, address: int, length: int) -> Optional[MemoryStorage]:
+        for region in self._regions:
+            if region.contains(address, length):
+                return region
+        return None
 
     def read_word(self, address: int) -> int:
         """Read a 32-bit word."""

@@ -142,11 +142,6 @@ class TestMemoryDispatcher:
         dispatcher.enable_main_memory(False)
         assert not slave.detached
 
-    def test_direct_memory_protocol(self):
-        dispatcher, __ = self._dispatcher()
-        dispatcher.direct_write(0x40, 0xAB, 1)
-        assert dispatcher.direct_read(0x40, 1) == 0xAB
-
 
 def build_platform(**kwargs):
     config = ModelConfig(name="periph", data_mode=DataMode.NATIVE,

@@ -1,11 +1,16 @@
 """Unit tests for VCD tracing and kernel-function interception."""
 
-import pytest
+import random
 
-from repro.iss import (FunctionalMicroBlaze, KernelFunctionInterceptor,
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.isa import assemble
+from repro.iss import (FunctionalMicroBlaze, InvalidatingDirectMemory,
+                       KernelFunctionInterceptor, MicroBlazeCore,
                        memcpy_handler, memset_handler)
-from repro.kernel import (ClockedEngine, ENGINE_CLOCKED, ENGINE_GENERIC,
-                          SimTime, Simulator)
+from repro.kernel import (AddressError, ClockedEngine, ENGINE_CLOCKED,
+                          ENGINE_GENERIC, SimTime, Simulator)
 from repro.peripherals import MemoryMap, MemoryStorage
 from repro.platform import VanillaNetPlatform, VariantName, variant_config
 from repro.signals import Clock, ResolvedSignal, Signal
@@ -194,7 +199,6 @@ class TestKernelFunctionInterception:
 
     def test_memset_handler_direct(self):
         memory = MemoryMap([MemoryStorage("ram", 0, 0x1000)])
-        from repro.iss import MicroBlazeCore
         core = MicroBlazeCore(fetch=lambda a: 0)
         core.regs.write(5, 0x100)       # dest
         core.regs.write(6, 0x7E)        # value
@@ -204,24 +208,154 @@ class TestKernelFunctionInterception:
         assert memory.read(0x100, 1) == 0x7E
         assert memory.read(0x107, 1) == 0x7E
         assert core.regs.read(3) == 0x100
+        assert memory.region_named("ram").write_accesses == 8
 
     def test_memcpy_handler_direct(self):
+        self._memcpy_four_bytes(0x300, b"\x01\x02\x03\x04")
+
+    @pytest.mark.parametrize("dest, copied", [
+        (0x201, b"\x01\x01\x01\x01"),
+        (0x202, b"\x01\x02\x01\x02"),
+    ])
+    def test_memcpy_handler_forward_overlap(self, dest, copied):
+        """A forward byte copy re-reads bytes it has already copied."""
+        self._memcpy_four_bytes(dest, copied)
+
+    @staticmethod
+    def _memcpy_four_bytes(dest, copied):
         memory = MemoryMap([MemoryStorage("ram", 0, 0x1000)])
         for offset in range(4):
             memory.write(0x200 + offset, offset + 1, 1)
-        from repro.iss import MicroBlazeCore
         core = MicroBlazeCore(fetch=lambda a: 0)
-        core.regs.write(5, 0x300)
+        core.regs.write(5, dest)
         core.regs.write(6, 0x200)
         core.regs.write(7, 4)
         memcpy_handler(core, memory)
-        assert memory.read(0x300, 4) == 0x01020304
+        ram = memory.region_named("ram")
+        assert ram.dump(dest, 4) == copied
+        assert (ram.read_accesses, ram.write_accesses) == (4, 8)
 
     def test_no_interception_in_delay_slot(self):
         memory = MemoryMap([MemoryStorage("ram", 0, 0x1000)])
         interceptor = KernelFunctionInterceptor(memory)
-        from repro.iss import MicroBlazeCore
         core = MicroBlazeCore(fetch=lambda a: 0)
         interceptor.register(core.pc, "memset", memset_handler)
         core._branch_after_delay = 0x40
         assert interceptor.maybe_intercept(core) is None
+
+
+# -- bulk handlers against the per-byte loops they replaced -------------------
+#: ``(name, base, size, read_only)``: two adjacent RAMs, a 0x40-byte gap, then
+#: read-only memory; addresses past ``_BULK_END`` are unmapped too.
+_BULK_LAYOUT = (("ram_a", 0x000, 0x100, False), ("ram_b", 0x100, 0x100, False),
+                ("rom", 0x240, 0x80, True))
+_BULK_END = 0x2C0
+_BULK_CONTENTS = random.Random(0x5EED).randbytes(_BULK_END)
+_DECODABLE_WORD = assemble("addik r3, r3, 1").words()[0][1]
+
+
+def _byte_loop_memset(core, memory):
+    dest, value, length = (core.regs.read(5), core.regs.read(6) & 0xFF,
+                           core.regs.read(7))
+    for offset in range(length):
+        memory.write(dest + offset, value, 1)
+    core.regs.write(3, dest)
+
+
+def _byte_loop_memcpy(core, memory):
+    dest, src, length = (core.regs.read(5), core.regs.read(6),
+                         core.regs.read(7))
+    for offset in range(length):
+        memory.write(dest + offset, memory.read(src + offset, 1), 1)
+    core.regs.write(3, dest)
+
+
+def _run_on_bulk_layout(handler, dest, arg, length, decoded_pcs):
+    """Run one handler call on a fresh map; everything it can change."""
+    regions = [MemoryStorage(name, base, size, read_only=read_only)
+               for name, base, size, read_only in _BULK_LAYOUT]
+    for region in regions:
+        region.load_bytes(region.base_address,
+                          _BULK_CONTENTS[region.base_address:
+                                         region.end_address])
+    core = MicroBlazeCore(fetch=lambda address: 0)
+    for pc in decoded_pcs:
+        core.build_decoded(pc, _DECODABLE_WORD)
+    for register, value in ((5, dest), (6, arg), (7, length)):
+        core.regs.write(register, value)
+    error = None
+    try:
+        handler(core, InvalidatingDirectMemory(MemoryMap(regions), core))
+    except AddressError as exc:
+        error = (type(exc), str(exc))
+    return {
+        "bytes": [region.dump(region.base_address, region.size)
+                  for region in regions],
+        "reads": [region.read_accesses for region in regions],
+        "writes": [region.write_accesses for region in regions],
+        "invalidations": core.stats.decoded_invalidations,
+        "decoded": sorted(pc for pc in decoded_pcs
+                          if core.decoded_entry(pc) is not None),
+        "r3": core.regs.read(3),
+        "error": error,
+    }
+
+
+_addresses = st.one_of(
+    st.integers(0, _BULK_END + 0x20),
+    st.sampled_from([0xFC, 0xFF, 0x100, 0x1F8, 0x1FF, 0x200, 0x23C, 0x240,
+                     _BULK_END - 4]))
+_lengths = st.one_of(st.integers(0, 0x140), st.sampled_from([0, 1, 4, 0x100]))
+_decoded_pcs = st.sets(st.integers(0, _BULK_END // 4 - 1).map(lambda w: w * 4),
+                       max_size=96)
+BULK_SETTINGS = settings(max_examples=200, deadline=None)
+
+
+class TestBulkHandlersMatchByteLoops:
+    """``memset``/``memcpy`` run as one fill/copy must leave memory, access
+    counters, the decoded cache, r3 and any fault exactly as the per-byte
+    loops do."""
+
+    @BULK_SETTINGS
+    @given(dest=_addresses, value=st.integers(0, 0xFFFF_FFFF),
+           length=_lengths, decoded_pcs=_decoded_pcs)
+    @example(dest=0x10, value=0x1A5, length=0x40, decoded_pcs={0x20, 0x4C})
+    @example(dest=0x13, value=7, length=0, decoded_pcs={0x10})
+    @example(dest=0xF0, value=1, length=0x20, decoded_pcs={0xFC, 0x100})
+    @example(dest=0x1F0, value=2, length=0x20, decoded_pcs={0x1FC})
+    @example(dest=0x240, value=3, length=4, decoded_pcs=set())
+    def test_memset(self, dest, value, length, decoded_pcs):
+        assert _run_on_bulk_layout(memset_handler, dest, value, length,
+                                   decoded_pcs) \
+            == _run_on_bulk_layout(_byte_loop_memset, dest, value, length,
+                                   decoded_pcs)
+
+    @BULK_SETTINGS
+    @given(data=st.data(), length=_lengths, decoded_pcs=_decoded_pcs)
+    def test_memcpy(self, data, length, decoded_pcs):
+        dest = data.draw(_addresses, label="dest")
+        src = data.draw(st.one_of(
+            _addresses, st.integers(-9, 9).map(lambda d: max(0, dest + d))),
+            label="src")
+        self._check_memcpy(dest, src, length, decoded_pcs)
+
+    @pytest.mark.parametrize("dest, src, length, decoded_pcs", [
+        (0x23, 0x20, 0x41, {0x40}),           # forward overlap: repeats
+        (0x20, 0x23, 0x41, {0x20}),           # backward overlap
+        (0x30, 0x30, 0x10, {0x30, 0x3C}),     # exact overlap
+        (0x30, 0x250, 0, {0x30}),             # zero length
+        (0x30, 0x250, 0x40, set()),           # read-only source
+        (0xF8, 0x240, 0x10, {0x100}),         # crosses into the next RAM
+        (0x1F8, 0x10, 0x10, {0x1FC}),         # runs into the gap
+        (0x240, 0x10, 4, set()),              # into read-only memory
+        (0x10, 0x1FC, 8, set()),              # source runs into the gap
+    ])
+    def test_memcpy_corners(self, dest, src, length, decoded_pcs):
+        self._check_memcpy(dest, src, length, decoded_pcs)
+
+    @staticmethod
+    def _check_memcpy(dest, src, length, decoded_pcs):
+        assert _run_on_bulk_layout(memcpy_handler, dest, src, length,
+                                   decoded_pcs) \
+            == _run_on_bulk_layout(_byte_loop_memcpy, dest, src, length,
+                                   decoded_pcs)
