@@ -100,12 +100,23 @@ class InterceptionResult:
 HandlerFn = Callable[[MicroBlazeCore, DirectMemory], InterceptionResult]
 
 
-#: Estimated retired instructions per byte for the assembly implementations
-#: in ``repro.software.clib`` (loop body of the byte-wise routines), used to
-#: report how many instructions an interception replaced.
-MEMSET_INSTRUCTIONS_PER_BYTE = 4
-MEMCPY_INSTRUCTIONS_PER_BYTE = 5
-CALL_OVERHEAD_INSTRUCTIONS = 6
+#: Instructions the ``repro.software.clib`` routines retire per call, which
+#: is what an interception skips: the entry code (``add``, the ``imm`` the
+#: assembler puts before the forward ``beqi``, the ``beqi`` and the cursor
+#: moves) plus ``rtsd`` and its delay slot, and a loop body per byte.  A
+#: zero-length call leaves at the ``beqi`` and skips the loop and cursor
+#: moves.
+MEMSET_CALL_INSTRUCTIONS = 6
+MEMSET_INSTRUCTIONS_PER_BYTE = 4        # sb, 2x addik, bnei
+MEMCPY_CALL_INSTRUCTIONS = 7
+MEMCPY_INSTRUCTIONS_PER_BYTE = 6        # lbu, sb, 3x addik, bnei
+ZERO_LENGTH_CALL_INSTRUCTIONS = 5
+
+
+def _skipped(length: int, per_call: int, per_byte: int) -> int:
+    if length == 0:
+        return ZERO_LENGTH_CALL_INSTRUCTIONS
+    return per_call + length * per_byte
 
 
 def memset_handler(core: MicroBlazeCore,
@@ -120,8 +131,8 @@ def memset_handler(core: MicroBlazeCore,
         for offset in range(length):
             memory.write(dest + offset, value, 1)
     core.regs.write(RETURN_VALUE_REGISTER, dest)
-    skipped = CALL_OVERHEAD_INSTRUCTIONS \
-        + length * MEMSET_INSTRUCTIONS_PER_BYTE
+    skipped = _skipped(length, MEMSET_CALL_INSTRUCTIONS,
+                       MEMSET_INSTRUCTIONS_PER_BYTE)
     return InterceptionResult("memset", skipped, length)
 
 
@@ -135,8 +146,8 @@ def memcpy_handler(core: MicroBlazeCore,
         for offset in range(length):
             memory.write(dest + offset, memory.read(src + offset, 1), 1)
     core.regs.write(RETURN_VALUE_REGISTER, dest)
-    skipped = CALL_OVERHEAD_INSTRUCTIONS \
-        + length * MEMCPY_INSTRUCTIONS_PER_BYTE
+    skipped = _skipped(length, MEMCPY_CALL_INSTRUCTIONS,
+                       MEMCPY_INSTRUCTIONS_PER_BYTE)
     return InterceptionResult("memcpy", skipped, length)
 
 

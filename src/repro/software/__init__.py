@@ -2,8 +2,7 @@
 
 from .bootgen import (BOOT_PHASES, BootImage, BootParams, boot_source,
                       build_boot_image, build_boot_program)
-from .clib import (MEMCPY_LOOP_INSTRUCTIONS_PER_BYTE,
-                   MEMSET_LOOP_INSTRUCTIONS_PER_BYTE, clib_source)
+from .clib import clib_source
 from .netboot import (DEFAULT_PAYLOAD, burst_echo_programs,
                       burst_ping_program, burst_ping_source, echo_program,
                       echo_source, ping_echo_programs, ping_program,
@@ -17,9 +16,7 @@ __all__ = [
     "BOOT_PHASES",
     "BootImage",
     "BootParams",
-    "MEMCPY_LOOP_INSTRUCTIONS_PER_BYTE",
     "DEFAULT_PAYLOAD",
-    "MEMSET_LOOP_INSTRUCTIONS_PER_BYTE",
     "arithmetic_program",
     "arithmetic_source",
     "boot_source",

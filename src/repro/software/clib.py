@@ -4,7 +4,10 @@ These are the routines the paper's section 5.4 intercepts: the uClinux boot
 spends 52 % of its instructions in ``memset`` and ``memcpy``.  The
 implementations follow the MicroBlaze ABI (arguments in r5-r7, return value
 in r3, return address in r15), so the kernel-function interceptor can read
-the same registers the real wrapper would.
+the same registers the real wrapper would.  The instructions an
+interception skips are counted from these routines in
+``repro.iss.interception``; a change to their code must change those
+counts too.
 
 The module also provides ``putchar``/``puts`` built on the console UART,
 used by every workload that prints boot messages.
@@ -13,11 +16,6 @@ used by every workload that prints boot messages.
 from __future__ import annotations
 
 from ..platform import memory_map as mm
-
-#: Retired instructions per processed byte for the loop bodies below
-#: (used to estimate how many instructions an interception replaced).
-MEMSET_LOOP_INSTRUCTIONS_PER_BYTE = 4
-MEMCPY_LOOP_INSTRUCTIONS_PER_BYTE = 6
 
 #: memset(dest=r5, value=r6, length=r7) -> r3 = dest
 MEMSET_SOURCE = """

@@ -14,7 +14,8 @@ from repro.kernel import (AddressError, ClockedEngine, ENGINE_CLOCKED,
 from repro.peripherals import MemoryMap, MemoryStorage
 from repro.platform import VanillaNetPlatform, VariantName, variant_config
 from repro.signals import Clock, ResolvedSignal, Signal
-from repro.software import hello_program, memory_exercise_program
+from repro.software import (clib_source, hello_program,
+                            memory_exercise_program)
 from repro.tracing import Tracer, VcdWriter
 
 
@@ -101,11 +102,34 @@ class TestTracer:
         assert sim.process_count() == 1
 
 
-def _interception_system():
+def _interception_system(program=None):
     memory = MemoryMap([MemoryStorage("ram", 0, 0x4000)])
     system = FunctionalMicroBlaze(memory_map=memory)
-    system.load_program(memory_exercise_program(region_bytes=48))
+    system.load_program(program or memory_exercise_program(region_bytes=48))
     return system
+
+
+def _zero_length_calls_program():
+    return assemble(f"""
+_start:
+    li      r5, buffer
+    addik   r6, r0, 0x5A
+    addik   r7, r0, 0
+    brlid   r15, memset
+    nop
+    li      r5, buffer
+    li      r6, buffer
+    addik   r7, r0, 0
+    brlid   r15, memcpy
+    nop
+    bri     _halt
+_halt:
+    bri     _halt
+{clib_source()}
+    .align 4
+buffer:
+    .word 0
+""")
 
 
 class TestTracingOnClockedEngine:
@@ -182,6 +206,22 @@ class TestKernelFunctionInterception:
         assert intercepted.core.stats.interception_hits == 2
         assert intercepted.core.stats.effective_instructions \
             > intercepted.core.stats.instructions_retired
+
+    @pytest.mark.parametrize("program", [memory_exercise_program,
+                                         _zero_length_calls_program])
+    def test_intercepted_counts_what_the_routines_retire(self, program):
+        stats = {}
+        for capture in (False, True):
+            system = _interception_system(program())
+            if capture:
+                assert system.enable_interception() == 2
+            system.run(200_000)
+            assert system.core.pc == system.symbols.address_of("_halt")
+            stats[capture] = system.core.stats
+        assert stats[True].interception_hits == 2
+        assert stats[False].instructions_retired \
+            == stats[True].instructions_retired \
+            + stats[True].instructions_intercepted
 
     def test_disable_restores_full_execution(self):
         system = _interception_system()
