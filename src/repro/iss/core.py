@@ -618,6 +618,7 @@ class MicroBlazeCore(SimComponent):
             return
         first = address & ~3
         last = (address + length - 1) & ~3
+        # Walk the range's words or the cache, whichever is shorter.
         if (last - first) // 4 < len(cache):
             words = range(first, last + 4, 4)
         else:

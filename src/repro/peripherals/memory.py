@@ -189,11 +189,11 @@ class MemoryMap(SimComponent):
 
     def region_for(self, address: int, size: int = 1) -> MemoryStorage:
         """The region containing the access; raises AddressError if none."""
-        for region in self._regions:
-            if region.contains(address, size):
-                return region
-        raise AddressError(f"no memory region claims address "
-                           f"{address:#010x}")
+        region = self._holding(address, size)
+        if region is None:
+            raise AddressError(f"no memory region claims address "
+                               f"{address:#010x}")
+        return region
 
     def region_named(self, name: str) -> MemoryStorage:
         """Look a region up by name."""
@@ -253,6 +253,7 @@ class MemoryMap(SimComponent):
         return True
 
     def _holding(self, address: int, length: int) -> Optional[MemoryStorage]:
+        """The region holding all of ``[address, address + length)``."""
         for region in self._regions:
             if region.contains(address, length):
                 return region

@@ -284,7 +284,7 @@ class TestKernelFunctionInterception:
         assert interceptor.maybe_intercept(core) is None
 
 
-# -- bulk handlers against the per-byte loops they replaced -------------------
+# -- bulk handlers against per-byte reference loops ---------------------------
 #: ``(name, base, size, read_only)``: two adjacent RAMs, a 0x40-byte gap, then
 #: read-only memory; addresses past ``_BULK_END`` are unmapped too.
 _BULK_LAYOUT = (("ram_a", 0x000, 0x100, False), ("ram_b", 0x100, 0x100, False),
