@@ -618,13 +618,7 @@ class MicroBlazeCore(SimComponent):
             return
         first = address & ~3
         last = (address + length - 1) & ~3
-        # Walk the range's words or the cache, whichever is shorter.
-        if (last - first) // 4 < len(cache):
-            words = range(first, last + 4, 4)
-        else:
-            words = [pc for pc in cache
-                     if first <= pc <= last and not pc & 3]
-        for pc in words:
+        for pc in range(first, last + 4, 4):
             entry = cache.pop(pc, None)
             if entry is not None:
                 entry.valid = False

@@ -49,18 +49,15 @@ class MemoryStorage(SimComponent):
 
     def _offset(self, address: int, size: int) -> int:
         if not self.contains(address, size):
-            raise self._outside(address, size)
+            raise AddressError(
+                f"address {address:#010x} (+{size}) outside memory "
+                f"{self.name!r} [{self.base_address:#010x}, "
+                f"{self.end_address:#010x})")
         if size > 1 and address % size != 0:
             raise AlignmentError(
                 f"misaligned {size}-byte access at {address:#010x} "
                 f"in {self.name!r}")
         return address - self.base_address
-
-    def _outside(self, address: int, size: int) -> AddressError:
-        return AddressError(
-            f"address {address:#010x} (+{size}) outside memory "
-            f"{self.name!r} [{self.base_address:#010x}, "
-            f"{self.end_address:#010x})")
 
     # -- generic access ----------------------------------------------------------
     def read(self, address: int, size: int = 4) -> int:
@@ -84,24 +81,23 @@ class MemoryStorage(SimComponent):
             size, "big")
 
     def read_bytes(self, address: int, length: int) -> bytes:
-        """Read ``length`` bytes at once, counted as ``length`` byte reads."""
-        if not self.contains(address, length):
-            raise self._outside(address, length)
+        """Read ``length`` bytes at once, counted as ``length`` byte reads.
+
+        Unchecked: the caller has made sure this region holds the range.
+        """
         offset = address - self.base_address
         self.read_accesses += length
         return bytes(self._data[offset:offset + length])
 
     def write_bytes(self, address: int, data: bytes) -> None:
-        """Write ``data`` at once, counted as ``len(data)`` byte writes."""
-        if self.read_only:
-            raise AddressError(f"write to read-only memory {self.name!r} "
-                               f"at {address:#010x}")
-        length = len(data)
-        if not self.contains(address, length):
-            raise self._outside(address, length)
+        """Write ``data`` at once, counted as ``len(data)`` byte writes.
+
+        Unchecked: the caller has made sure this region is writable and
+        holds the range.
+        """
         offset = address - self.base_address
-        self.write_accesses += length
-        self._data[offset:offset + length] = data
+        self.write_accesses += len(data)
+        self._data[offset:offset + len(data)] = data
 
     # -- convenience accessors --------------------------------------------------------
     def read_word(self, address: int) -> int:
