@@ -28,7 +28,9 @@ import time
 
 from conftest import build_variant_platform, record_fig2_results
 from repro.bus import BUS_FUNCTIONAL, BUS_SIGNAL, BUS_TRANSACTION, bus_levels
-from repro.core import ExperimentOptions, Figure2Experiment, build_report
+from repro.core import ExperimentOptions, build_report, run_matrix_sweep
+from repro.iss import CPU_CYCLE
+from repro.kernel import ENGINE_GENERIC
 from repro.platform import VariantName
 
 RESULTS_PATH = pathlib.Path(__file__).resolve().parent.parent \
@@ -165,25 +167,28 @@ def test_bus_level_comparison_matrix(benchmark):
     to their signal-level baselines) and records every measured cell into
     ``BENCH_fig2.json`` keyed by variant/engine/bus level.
     """
-    experiment = Figure2Experiment(TABLE_OPTIONS)
-
     def run_matrix():
-        return experiment.run_bus_level_comparison(TABLE_VARIANTS)
+        sweep = run_matrix_sweep(options=TABLE_OPTIONS,
+                                 variants=TABLE_VARIANTS,
+                                 engines=[ENGINE_GENERIC],
+                                 cpu_levels=[CPU_CYCLE], jobs=1)
+        sweep.raise_on_errors()
+        return sweep.results
 
     results = benchmark.pedantic(run_matrix, rounds=1, iterations=1,
                                  warmup_rounds=0)
     report = build_report(results)
-    table = report.format_bus_level_table()
+    table = report.format_seam_table("bus_level")
     print("\n" + table + "\n")
     RESULTS_PATH.write_text(table + "\n")
     for result in results:
         benchmark.extra_info[
             f"{result.variant.value}[{result.bus_level}]_cps_khz"] = round(
                 result.cps_khz, 3)
-    best = report.best_bus_level_speedup(BUS_FUNCTIONAL)
+    best = report.best_speedup("bus_level", BUS_FUNCTIONAL)
     benchmark.extra_info["best_functional_speedup"] = round(best, 2)
     record_fig2_results(results)
-    assert set(report.bus_levels_present()) == set(bus_levels())
+    assert set(report.levels_present("bus_level")) == set(bus_levels())
     # Informational only: single-round wall-clock ratios are too noisy to
     # gate on.  The >= 5x claim is asserted by
     # test_functional_fabric_speedup above, which measures with

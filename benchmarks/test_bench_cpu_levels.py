@@ -27,7 +27,7 @@ import time
 
 from conftest import build_variant_platform, record_fig2_results
 from repro.bus import BUS_FUNCTIONAL
-from repro.core import ExperimentOptions, Figure2Experiment, build_report
+from repro.core import ExperimentOptions, build_report, run_matrix_sweep
 from repro.iss import CPU_CYCLE, CPU_QUANTUM, cpu_levels
 from repro.kernel import ENGINE_CLOCKED, ENGINE_GENERIC
 from repro.platform import (VanillaNetPlatform, VariantName, variant_config)
@@ -184,26 +184,28 @@ def test_cpu_level_comparison_matrix(benchmark):
     to their cycle-level baselines) and records every measured cell into
     ``BENCH_fig2.json`` keyed by variant/engine/bus level/cpu level.
     """
-    experiment = Figure2Experiment(TABLE_OPTIONS)
-
     def run_matrix():
-        return experiment.run_cpu_level_comparison(
-            TABLE_VARIANTS, bus_level=BUS_FUNCTIONAL)
+        sweep = run_matrix_sweep(options=TABLE_OPTIONS,
+                                 variants=TABLE_VARIANTS,
+                                 engines=[ENGINE_GENERIC],
+                                 bus_levels=[BUS_FUNCTIONAL], jobs=1)
+        sweep.raise_on_errors()
+        return sweep.results
 
     results = benchmark.pedantic(run_matrix, rounds=1, iterations=1,
                                  warmup_rounds=0)
     report = build_report(results)
-    table = report.format_cpu_level_table()
+    table = report.format_seam_table("cpu_level")
     print("\n" + table + "\n")
     RESULTS_PATH.write_text(table + "\n")
     for result in results:
         benchmark.extra_info[
             f"{result.variant.value}[{result.cpu_level}]_cps_khz"] = round(
                 result.cps_khz, 3)
-    best = report.best_cpu_level_speedup(CPU_QUANTUM)
+    best = report.best_speedup("cpu_level", CPU_QUANTUM)
     benchmark.extra_info["best_quantum_speedup"] = round(best, 2)
     record_fig2_results(results)
-    assert set(report.cpu_levels_present()) == set(cpu_levels())
+    assert set(report.levels_present("cpu_level")) == set(cpu_levels())
     # Informational only: single-round wall-clock ratios over the small
     # table workload are too noisy to gate on.  The >= 10x claim is
     # asserted by test_quantum_cpu_speedup above, which measures the

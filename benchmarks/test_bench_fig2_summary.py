@@ -18,9 +18,10 @@ import time
 from conftest import (BENCH_FIG2_PATH, BENCH_FIG2_SCHEMA, load_fig2_results,
                       record_fig2_results)
 from repro.bus import BUS_SIGNAL, bus_levels
-from repro.core import ExperimentOptions, Figure2Experiment, build_report
+from repro.core import (ExperimentOptions, Figure2Experiment, build_report,
+                        run_matrix_sweep)
 from repro.iss import CPU_CYCLE, cpu_levels
-from repro.kernel import engine_kinds
+from repro.kernel import ENGINE_CLOCKED, engine_kinds
 from repro.platform import VanillaNetPlatform, VariantName, variant_config
 from repro.software import build_boot_program
 
@@ -128,15 +129,18 @@ def test_engine_comparison_matrix(benchmark):
     the tier-1 tests); here its speed is recorded so the perf trajectory is
     machine-readable across PRs.
     """
-    experiment = Figure2Experiment(ENGINE_MATRIX_OPTIONS)
-
     def run_matrix():
-        return experiment.run_engine_comparison(list(VariantName))
+        sweep = run_matrix_sweep(options=ENGINE_MATRIX_OPTIONS,
+                                 variants=list(VariantName),
+                                 bus_levels=[BUS_SIGNAL],
+                                 cpu_levels=[CPU_CYCLE], jobs=1)
+        sweep.raise_on_errors()
+        return sweep.results
 
     results = benchmark.pedantic(run_matrix, rounds=1, iterations=1,
                                  warmup_rounds=0)
     report = build_report(results)
-    table = report.format_engine_table()
+    table = report.format_seam_table("engine")
     print("\n" + table + "\n")
     (RESULTS_PATH.parent / "figure2_engine_comparison.txt").write_text(
         table + "\n")
@@ -144,7 +148,7 @@ def test_engine_comparison_matrix(benchmark):
         benchmark.extra_info[
             f"{result.variant.value}[{result.engine}]_cps_khz"] = round(
                 result.cps_khz, 3)
-    best = report.best_engine_speedup()
+    best = report.best_speedup("engine", ENGINE_CLOCKED)
     benchmark.extra_info["best_clocked_speedup"] = round(best, 2)
     record_fig2_results(results)
     # Informational only: single-round wall-clock ratios are too noisy to

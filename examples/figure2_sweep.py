@@ -5,7 +5,8 @@ This drives :func:`repro.core.run_matrix_sweep` -- the parallel sweep
 runner with checkpoint/restore warm starts -- over the requested slice of
 the (variant x engine x bus level x cpu level) matrix and prints the
 reproduced figure next to the paper's numbers, together with the
-qualitative "shape checks" and the ablation tables.
+qualitative "shape checks" and one comparison table per execution seam
+(engine, bus level, cpu level) that the measured slice spans.
 
 Each SystemC variant is booted once, snapshotted at the warm-up point,
 and every matrix cell of that variant restores the snapshot instead of
@@ -13,19 +14,12 @@ re-simulating the boot; ``--jobs N`` spreads the cells over N worker
 processes.  Results are merged in canonical matrix order, so any jobs
 count produces identical output.
 
-With ``--cache-dir DIR`` every cell becomes a content-addressed
-:class:`repro.core.JobSpec`; cells whose result is already in DIR are
-served from the cache without booting anything, so a repeated sweep is
-pure cache hits and reproduces the previous output byte for byte.
-
 Run with:  python examples/figure2_sweep.py [--jobs N] [--quick]
            [--variants initial,native_types] [--cells KEY[,KEY...]]
-           [--no-snapshot] [--record] [--cache-dir DIR]
-           [--cache-stats FILE]
+           [--no-snapshot] [--record]
 """
 
 import argparse
-import json
 import os
 import pathlib
 import sys
@@ -117,16 +111,7 @@ def main() -> None:
     parser.add_argument("--record", action="store_true",
                         help="merge the results into BENCH_fig2.json and "
                              "the bench_history/ ledger")
-    parser.add_argument("--cache-dir", metavar="DIR",
-                        help="content-addressed result cache directory; "
-                             "cells already cached there are served "
-                             "without simulating")
-    parser.add_argument("--cache-stats", metavar="FILE",
-                        help="write cache hit/miss counters as JSON "
-                             "(requires --cache-dir)")
     arguments = parser.parse_args()
-    if arguments.cache_stats and not arguments.cache_dir:
-        parser.error("--cache-stats requires --cache-dir")
 
     options = ExperimentOptions(
         instructions_per_phase=arguments.instructions,
@@ -155,20 +140,10 @@ def main() -> None:
         bus_levels=bus_levels, cpu_levels=cpu_levels, cells=cells,
         jobs=jobs, timeout_s=arguments.timeout, retries=arguments.retries,
         use_snapshots=not arguments.no_snapshot,
-        progress=stderr_progress, cache_dir=arguments.cache_dir)
+        progress=stderr_progress)
     print(f"measured {len(report.results)}/{report.cells_total} cells in "
           f"{report.elapsed_seconds:.1f}s "
           f"({report.retries_used} retries, {len(report.errors)} errors)")
-    if arguments.cache_dir:
-        print(f"result cache: {report.cache_hits} hit(s), "
-              f"{report.cache_misses} miss(es) in {arguments.cache_dir}")
-    if arguments.cache_stats:
-        stats = {"hits": report.cache_hits,
-                 "misses": report.cache_misses,
-                 "cells_total": report.cells_total,
-                 "directory": str(arguments.cache_dir)}
-        pathlib.Path(arguments.cache_stats).write_text(
-            json.dumps(stats, indent=2, sort_keys=True) + "\n")
 
     figure = build_report(report.results)
     # The headline table shows one bar per variant (the paper's own
@@ -177,11 +152,10 @@ def main() -> None:
     bars = build_report([figure.result_for(variant)
                          for variant in VariantName if figure.has(variant)])
     print("\n" + bars.format_table())
-    for title, table in (("engine comparison", figure.format_engine_table()),
-                         ("bus-level comparison",
-                          figure.format_bus_level_table()),
-                         ("cpu-level comparison",
-                          figure.format_cpu_level_table())):
+    for seam, title in (("engine", "engine comparison"),
+                        ("bus_level", "bus-level comparison"),
+                        ("cpu_level", "cpu-level comparison")):
+        table = figure.format_seam_table(seam)
         if table:
             print(f"\n{title}:\n{table}")
     print("\nsummary claims (paper sections 4.6 / 5.5 / 7):")

@@ -45,15 +45,7 @@ def load_entries(path: pathlib.Path) -> dict:
     schema = document.get("schema", "")
     if not schema.startswith(SCHEMA_PREFIX):
         raise ValueError(f"{path}: unknown schema {schema!r}")
-    entries = document.get("entries", {})
-    normalised = {}
-    for key, entry in entries.items():
-        # v2 snapshots predate CPU abstraction levels: their keys carry
-        # three fields and implicitly measured the per-cycle level.
-        if key.count("/") == 2:
-            key = f"{key}/cycle"
-        normalised[key] = entry
-    return normalised
+    return document.get("entries", {})
 
 
 def load_history(history_dir: pathlib.Path, current_commit: str | None,

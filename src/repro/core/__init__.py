@@ -3,13 +3,9 @@
 from .experiment import (ClusterResult, ExperimentOptions, Figure2Experiment,
                          VariantResult, format_cluster_table)
 from .figure2 import Figure2Report, build_report
-from .job import JobSpec, ResultCache, canonical_json
 from .metrics import (AggregatedSpeed, REFERENCE_BOOT_INSTRUCTIONS,
                       SpeedMeasurement, cycles_per_second, format_duration,
                       speedup, to_khz)
-from .registry import (EXECUTION_SEAMS, ExecutionSeam, TECHNIQUES, Technique,
-                       cycle_accurate_techniques,
-                       runtime_toggleable_techniques, seam_for, technique_for)
 from .sweep import (SweepCell, SweepReport, cell_sort_key, expand_matrix,
                     load_fig2_results, merge_fig2_results,
                     record_bench_history, record_fig2_results,
@@ -19,22 +15,15 @@ __all__ = [
     "AggregatedSpeed",
     "ClusterResult",
     "format_cluster_table",
-    "EXECUTION_SEAMS",
-    "ExecutionSeam",
     "ExperimentOptions",
     "Figure2Experiment",
     "Figure2Report",
-    "JobSpec",
     "REFERENCE_BOOT_INSTRUCTIONS",
-    "ResultCache",
     "SpeedMeasurement",
     "SweepCell",
     "SweepReport",
-    "TECHNIQUES",
-    "Technique",
     "VariantResult",
     "build_report",
-    "canonical_json",
     "cell_sort_key",
     "expand_matrix",
     "load_fig2_results",
@@ -44,12 +33,8 @@ __all__ = [
     "result_sort_key",
     "run_matrix_sweep",
     "write_fig2_results",
-    "cycle_accurate_techniques",
     "cycles_per_second",
     "format_duration",
-    "runtime_toggleable_techniques",
-    "seam_for",
     "speedup",
-    "technique_for",
     "to_khz",
 ]

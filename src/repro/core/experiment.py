@@ -282,105 +282,6 @@ class Figure2Experiment:
         return [self.measure_variant(variant, engine=engine)
                 for variant in variants]
 
-    def run_matrix_sweep(self, variants=None, engines=None,
-                         bus_levels=None, cpu_levels=None,
-                         jobs: Optional[int] = None,
-                         timeout_s: Optional[float] = 600.0,
-                         retries: int = 1,
-                         use_snapshots: bool = True,
-                         progress=None,
-                         cache_dir=None):
-        """Measure a (variant x engine x bus x cpu) matrix in parallel.
-
-        Delegates to :func:`repro.core.sweep.run_matrix_sweep` with this
-        experiment's options; returns its
-        :class:`~repro.core.sweep.SweepReport`.  ``jobs=1`` runs every
-        cell inline; snapshots warm-start the cells whenever
-        ``options.warmup_instructions > 0``; ``cache_dir`` enables the
-        content-addressed result cache (cells whose
-        :class:`~repro.core.job.JobSpec` is already cached are served
-        without simulating).
-        """
-        from .sweep import run_matrix_sweep
-        return run_matrix_sweep(options=self.options, variants=variants,
-                                engines=engines, bus_levels=bus_levels,
-                                cpu_levels=cpu_levels, jobs=jobs,
-                                timeout_s=timeout_s, retries=retries,
-                                use_snapshots=use_snapshots,
-                                progress=progress, cache_dir=cache_dir)
-
-    def run_engine_comparison(
-            self, variants: Optional[Sequence[VariantName]] = None,
-            engines: Optional[Sequence[str]] = None,
-            jobs: int = 1, cache_dir=None) -> list[VariantResult]:
-        """Measure every requested variant on every requested engine.
-
-        This produces the engine-ablation rows of the extended Figure 2
-        table: the same model, same workload and same measurement windows,
-        differing only in the engine executing the model.  Routed through
-        the sweep runner; ``jobs`` parallelises the cells and
-        ``cache_dir`` serves repeated cells from the result cache.
-        """
-        report = self.run_matrix_sweep(variants=variants, engines=engines,
-                                       bus_levels=[BUS_SIGNAL],
-                                       cpu_levels=[CPU_CYCLE], jobs=jobs,
-                                       cache_dir=cache_dir)
-        report.raise_on_errors()
-        return report.results
-
-    def run_bus_level_comparison(
-            self, variants: Optional[Sequence[VariantName]] = None,
-            levels: Optional[Sequence[str]] = None,
-            engine: str = ENGINE_GENERIC,
-            jobs: int = 1, cache_dir=None) -> list[VariantResult]:
-        """Measure every requested variant on every requested bus level.
-
-        The bus-abstraction ablation: the same models, workloads and
-        measurement windows, differing only in the interconnect fabric
-        executing the OPB traffic.  The RTL HDL baseline is skipped (it has
-        no transport seam).  Routed through the sweep runner; ``jobs``
-        parallelises the cells and ``cache_dir`` serves repeated cells
-        from the result cache.
-        """
-        if variants is None:
-            variants = list(VariantName)
-        variants = [variant for variant in variants
-                    if variant is not VariantName.RTL_HDL]
-        report = self.run_matrix_sweep(variants=variants,
-                                       engines=[engine],
-                                       bus_levels=levels,
-                                       cpu_levels=[CPU_CYCLE], jobs=jobs,
-                                       cache_dir=cache_dir)
-        report.raise_on_errors()
-        return report.results
-
-    def run_cpu_level_comparison(
-            self, variants: Optional[Sequence[VariantName]] = None,
-            levels: Optional[Sequence[str]] = None,
-            engine: str = ENGINE_GENERIC,
-            bus_level: str = BUS_SIGNAL,
-            jobs: int = 1, cache_dir=None) -> list[VariantResult]:
-        """Measure every requested variant on every requested CPU level.
-
-        The CPU-abstraction ablation: the same models, workloads and
-        measurement windows, differing only in how the ISS wrapper executes
-        instructions (per-cycle thread versus temporally-decoupled time
-        quanta).  The RTL HDL baseline is skipped (it has no ISS wrapper).
-        Routed through the sweep runner; ``jobs`` parallelises the cells
-        and ``cache_dir`` serves repeated cells from the result cache.
-        """
-        if variants is None:
-            variants = list(VariantName)
-        variants = [variant for variant in variants
-                    if variant is not VariantName.RTL_HDL]
-        report = self.run_matrix_sweep(variants=variants,
-                                       engines=[engine],
-                                       bus_levels=[bus_level],
-                                       cpu_levels=levels, jobs=jobs,
-                                       cache_dir=cache_dir)
-        report.raise_on_errors()
-        return report.results
-
     # -- multi-node clusters -------------------------------------------------
     def measure_cluster(self, nodes: int = 2,
                         engine: str = ENGINE_GENERIC,
@@ -435,47 +336,21 @@ class Figure2Experiment:
             engines: Optional[Sequence[str]] = None,
             bus_levels: Optional[Sequence[str]] = None,
             cpu_levels: Optional[Sequence[str]] = None,
-            ping_count: int = 3,
-            cache_dir=None) -> list["ClusterResult"]:
-        """Measure the cluster workload across the execution-seam matrix.
-
-        With ``cache_dir`` set, every cell is content-addressed through
-        the :class:`~repro.core.job.ResultCache` exactly like the
-        single-node sweeps: the cluster's programs, canonical model
-        config, run window and topology form the
-        :meth:`~repro.core.job.JobSpec.for_cluster` hash, and a repeated
-        comparison replays the cached measurements without booting a
-        kernel.
-        """
+            ping_count: int = 3) -> list["ClusterResult"]:
+        """Measure the cluster workload across the execution-seam matrix."""
         from ..bus.transport import bus_levels as _all_bus_levels
         from ..iss.wrapper import cpu_levels as _all_cpu_levels
         from ..kernel.engine import engine_kinds as _all_engines
-        from .job import JobSpec, ResultCache
 
         engines = list(engines) if engines else list(_all_engines())
         bus_levels = list(bus_levels) if bus_levels \
             else list(_all_bus_levels())
         cpu_levels = list(cpu_levels) if cpu_levels \
             else list(_all_cpu_levels())
-        cache = ResultCache(cache_dir) if cache_dir is not None else None
-        results = []
-        for engine in engines:
-            for bus_level in bus_levels:
-                for cpu_level in cpu_levels:
-                    spec = None
-                    if cache is not None:
-                        spec = JobSpec.for_cluster(
-                            nodes, engine=engine, bus_level=bus_level,
-                            cpu_level=cpu_level, options=self.options,
-                            ping_count=ping_count)
-                        cached = cache.get(spec)
-                        if cached is not None:
-                            results.append(cached)
-                            continue
-                    result = self.measure_cluster(
-                        nodes, engine=engine, bus_level=bus_level,
-                        cpu_level=cpu_level, ping_count=ping_count)
-                    if cache is not None:
-                        cache.put(spec, result)
-                    results.append(result)
-        return results
+        return [self.measure_cluster(nodes, engine=engine,
+                                     bus_level=bus_level,
+                                     cpu_level=cpu_level,
+                                     ping_count=ping_count)
+                for engine in engines
+                for bus_level in bus_levels
+                for cpu_level in cpu_levels]

@@ -5,6 +5,9 @@ one line point (boot time) per model configuration.  This module turns a
 list of :class:`~repro.core.experiment.VariantResult` objects into
 
 * a text table with measured and paper values side by side,
+* one comparison table per execution seam (engine, bus level, cpu
+  level): each row's CPS over the cell that differs from it only in
+  that seam,
 * the summary claims of sections 4.6, 5.5 and 7 (speed-up ranges,
   percentage improvements), and
 * a set of *shape checks*: boolean predicates asserting that the measured
@@ -17,12 +20,41 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from ..bus.transport import BUS_FUNCTIONAL, BUS_SIGNAL
-from ..iss.wrapper import CPU_CYCLE, CPU_QUANTUM
-from ..kernel.engine import ENGINE_CLOCKED, ENGINE_GENERIC
+from ..bus.transport import BUS_SIGNAL
+from ..iss.wrapper import CPU_CYCLE
+from ..kernel.engine import ENGINE_GENERIC
 from ..platform import VariantName
 from .experiment import VariantResult
 from .metrics import format_duration
+
+
+@dataclass(frozen=True)
+class _SeamTable:
+    """The layout of one execution seam's comparison table."""
+
+    #: The level every other level's CPS is divided by.
+    reference: str
+    #: Title and width of the level column.
+    title: str
+    width: int
+    #: Columns between CPS and the ratio: names in ``_EXTRA_COLUMNS``.
+    extras: tuple[str, ...] = ()
+
+
+#: The execution seams keyed by ``ModelConfig`` field, in nesting order.
+#: A seam's table holds only rows whose later seams sit at their
+#: reference level, so the engine table never mixes bus or cpu levels and
+#: the bus table never mixes cpu levels.
+_SEAMS = {
+    "engine": _SeamTable(ENGINE_GENERIC, "engine", 8),
+    "bus_level": _SeamTable(BUS_SIGNAL, "bus level", 12, ("CPI", "procs")),
+    "cpu_level": _SeamTable(CPU_CYCLE, "cpu level", 10, ("CPI",)),
+}
+
+_EXTRA_COLUMNS = {
+    "CPI": lambda result: f"{result.cpi:>6.2f}",
+    "procs": lambda result: f"{result.process_count:>6}",
+}
 
 
 @dataclass
@@ -130,225 +162,73 @@ class Figure2Report:
             return float("inf")
         return before.projected_boot_minutes / after_minutes
 
-    # -- engine comparison (the ClockedEngine ablation) -------------------------
-    def engines_present(self) -> list[str]:
-        """Engine names appearing in the report, generic first."""
-        seen = []
-        for result in self.results:
-            if result.engine not in seen:
-                seen.append(result.engine)
-        seen.sort(key=lambda name: (name != ENGINE_GENERIC, name))
-        return seen
+    # -- seam comparisons (engine / bus level / cpu level ablations) ----------
+    def levels_present(self, seam: str) -> list[str]:
+        """Levels of ``seam`` (a ``ModelConfig`` field name) in the
+        report, reference level first."""
+        reference = _SEAMS[seam].reference
+        return sorted({getattr(result, seam) for result in self.results},
+                      key=lambda level: (level != reference, level))
 
-    def engine_speedup(self, variant: VariantName,
-                       engine: str = ENGINE_CLOCKED,
-                       over: str = ENGINE_GENERIC) -> float:
-        """CPS ratio of one engine over another for the same variant."""
-        base = self.cps(variant, over)
+    def _seam_rows(self, seam: str) -> list[VariantResult]:
+        """The rows of ``seam``'s table: every result whose later seams
+        sit at their reference level."""
+        names = list(_SEAMS)
+        later = names[names.index(seam) + 1:]
+        return [result for result in self.results
+                if all(getattr(result, name) == _SEAMS[name].reference
+                       for name in later)]
+
+    def _seam_speedup(self, result: VariantResult,
+                      seam: str) -> Optional[float]:
+        """CPS ratio of ``result`` over the cell that differs from it only
+        in ``seam``, which sits at the reference level; None when
+        ``result`` is that reference or the cell was not measured."""
+        cell = {name: getattr(result, name) for name in _SEAMS}
+        if cell[seam] == _SEAMS[seam].reference:
+            return None
+        cell[seam] = _SEAMS[seam].reference
+        try:
+            base = self.cps(result.variant, **cell)
+        except KeyError:
+            return None
         if base <= 0:
             return float("inf")
-        return self.cps(variant, engine) / base
+        return result.speed.mean_cps / base
 
-    def engine_rows(self) -> list[dict]:
-        """Engine-ablation rows: one per (variant, engine) pair present.
-
-        Only signal-level rows qualify (bus-level ablation rows are
-        reported by :meth:`bus_level_rows`), so the engine comparison never
-        mixes bus abstractions.
-        """
-        rows = []
-        for result in self.results:
-            if result.bus_level != BUS_SIGNAL \
-                    or result.cpu_level != CPU_CYCLE:
-                continue
-            row = {
-                "variant": result.variant.value,
-                "engine": result.engine,
-                "measured_cps_khz": result.cps_khz,
-                "kernel_counters": dict(result.kernel_counters),
-            }
-            if result.engine != ENGINE_GENERIC \
-                    and self.has(result.variant, ENGINE_GENERIC):
-                row["speedup_over_generic"] = self.engine_speedup(
-                    result.variant, result.engine)
-            rows.append(row)
-        return rows
-
-    def format_engine_table(self) -> str:
-        """Text table comparing engines per variant (empty when only one
-        engine was measured)."""
-        if len(self.engines_present()) < 2:
+    def format_seam_table(self, seam: str) -> str:
+        """Text table comparing the levels of one seam per variant (empty
+        when only one level was measured)."""
+        table = _SEAMS[seam]
+        if len(self.levels_present(seam)) < 2:
             return ""
-        header = (f"{'configuration':<24} {'engine':>8} {'CPS [kHz]':>10} "
-                  f"{'vs generic':>11}")
+        ratio_title = f"vs {table.reference}"
+        ratio_width = len(ratio_title) + 1
+        header = (f"{'configuration':<24} {table.title:>{table.width}} "
+                  f"{'CPS [kHz]':>10}"
+                  + "".join(f" {name:>6}" for name in table.extras)
+                  + f" {ratio_title:>{ratio_width}}")
         lines = [header, "-" * len(header)]
-        for row in self.engine_rows():
-            speedup = row.get("speedup_over_generic")
+        for result in self._seam_rows(seam):
+            speedup = self._seam_speedup(result, seam)
             speedup_text = f"{speedup:.2f}x" if speedup is not None else "-"
-            lines.append(f"{row['variant']:<24} {row['engine']:>8} "
-                         f"{row['measured_cps_khz']:>10.3f} "
-                         f"{speedup_text:>11}")
+            lines.append(
+                f"{result.variant.value:<24} "
+                f"{getattr(result, seam):>{table.width}} "
+                f"{result.cps_khz:>10.3f}"
+                + "".join(f" {_EXTRA_COLUMNS[name](result)}"
+                          for name in table.extras)
+                + f" {speedup_text:>{ratio_width}}")
         return "\n".join(lines)
 
-    def best_engine_speedup(self) -> float:
-        """The largest clocked-over-generic CPS ratio in the report."""
-        best = 0.0
-        for result in self.results:
-            if result.engine == ENGINE_GENERIC:
-                continue
-            if self.has(result.variant, ENGINE_GENERIC):
-                best = max(best, self.engine_speedup(result.variant,
-                                                     result.engine))
-        return best
-
-    # -- bus-level comparison (the bus-abstraction ablation) --------------------
-    def bus_levels_present(self) -> list[str]:
-        """Bus-level names appearing in the report, signal first."""
-        seen = []
-        for result in self.results:
-            if result.bus_level not in seen:
-                seen.append(result.bus_level)
-        seen.sort(key=lambda name: (name != BUS_SIGNAL, name))
-        return seen
-
-    def bus_level_speedup(self, variant: VariantName,
-                          bus_level: str = BUS_FUNCTIONAL,
-                          over: str = BUS_SIGNAL,
-                          engine: Optional[str] = None) -> float:
-        """CPS ratio of one bus level over another for the same variant."""
-        base = self.cps(variant, engine, over)
-        if base <= 0:
-            return float("inf")
-        return self.cps(variant, engine, bus_level) / base
-
-    def bus_level_rows(self) -> list[dict]:
-        """Bus-ablation rows: one per (variant, engine, bus level) present.
-
-        Only cycle-level rows qualify (CPU-level ablation rows are reported
-        by :meth:`cpu_level_rows`), so the bus comparison never mixes CPU
-        abstractions.
-        """
-        rows = []
-        for result in self.results:
-            if result.cpu_level != CPU_CYCLE:
-                continue
-            row = {
-                "variant": result.variant.value,
-                "engine": result.engine,
-                "bus_level": result.bus_level,
-                "measured_cps_khz": result.cps_khz,
-                "measured_cpi": result.cpi,
-                "processes": result.process_count,
-            }
-            if result.bus_level != BUS_SIGNAL \
-                    and self.has(result.variant, result.engine, BUS_SIGNAL):
-                row["speedup_over_signal"] = self.bus_level_speedup(
-                    result.variant, result.bus_level, BUS_SIGNAL,
-                    engine=result.engine)
-            rows.append(row)
-        return rows
-
-    def format_bus_level_table(self) -> str:
-        """Text table comparing bus levels per variant (empty when only
-        one level was measured)."""
-        if len(self.bus_levels_present()) < 2:
-            return ""
-        header = (f"{'configuration':<24} {'bus level':>12} {'CPS [kHz]':>10} "
-                  f"{'CPI':>6} {'procs':>6} {'vs signal':>10}")
-        lines = [header, "-" * len(header)]
-        for row in self.bus_level_rows():
-            speedup = row.get("speedup_over_signal")
-            speedup_text = f"{speedup:.2f}x" if speedup is not None else "-"
-            lines.append(f"{row['variant']:<24} {row['bus_level']:>12} "
-                         f"{row['measured_cps_khz']:>10.3f} "
-                         f"{row['measured_cpi']:>6.2f} "
-                         f"{row['processes']:>6} "
-                         f"{speedup_text:>10}")
-        return "\n".join(lines)
-
-    def best_bus_level_speedup(self, bus_level: str = BUS_FUNCTIONAL) -> float:
-        """The largest bus-level-over-signal CPS ratio in the report."""
-        best = 0.0
-        for result in self.results:
-            if result.bus_level != bus_level or result.cpu_level != CPU_CYCLE:
-                continue
-            if self.has(result.variant, result.engine, BUS_SIGNAL,
-                        CPU_CYCLE):
-                best = max(best, self.bus_level_speedup(
-                    result.variant, bus_level, engine=result.engine))
-        return best
-
-    # -- CPU-level comparison (the ISS-abstraction ablation) --------------------
-    def cpu_levels_present(self) -> list[str]:
-        """CPU-level names appearing in the report, cycle first."""
-        seen = []
-        for result in self.results:
-            if result.cpu_level not in seen:
-                seen.append(result.cpu_level)
-        seen.sort(key=lambda name: (name != CPU_CYCLE, name))
-        return seen
-
-    def cpu_level_speedup(self, variant: VariantName,
-                          cpu_level: str = CPU_QUANTUM,
-                          over: str = CPU_CYCLE,
-                          engine: Optional[str] = None,
-                          bus_level: Optional[str] = None) -> float:
-        """CPS ratio of one CPU level over another for the same variant."""
-        base = self.cps(variant, engine, bus_level, over)
-        if base <= 0:
-            return float("inf")
-        return self.cps(variant, engine, bus_level, cpu_level) / base
-
-    def cpu_level_rows(self) -> list[dict]:
-        """CPU-ablation rows: one per (variant, engine, bus, cpu) present."""
-        rows = []
-        for result in self.results:
-            row = {
-                "variant": result.variant.value,
-                "engine": result.engine,
-                "bus_level": result.bus_level,
-                "cpu_level": result.cpu_level,
-                "measured_cps_khz": result.cps_khz,
-                "measured_cpi": result.cpi,
-            }
-            if result.cpu_level != CPU_CYCLE \
-                    and self.has(result.variant, result.engine,
-                                 result.bus_level, CPU_CYCLE):
-                row["speedup_over_cycle"] = self.cpu_level_speedup(
-                    result.variant, result.cpu_level, CPU_CYCLE,
-                    engine=result.engine, bus_level=result.bus_level)
-            rows.append(row)
-        return rows
-
-    def format_cpu_level_table(self) -> str:
-        """Text table comparing CPU levels per variant (empty when only
-        one level was measured)."""
-        if len(self.cpu_levels_present()) < 2:
-            return ""
-        header = (f"{'configuration':<24} {'cpu level':>10} {'CPS [kHz]':>10} "
-                  f"{'CPI':>6} {'vs cycle':>9}")
-        lines = [header, "-" * len(header)]
-        for row in self.cpu_level_rows():
-            speedup = row.get("speedup_over_cycle")
-            speedup_text = f"{speedup:.2f}x" if speedup is not None else "-"
-            lines.append(f"{row['variant']:<24} {row['cpu_level']:>10} "
-                         f"{row['measured_cps_khz']:>10.3f} "
-                         f"{row['measured_cpi']:>6.2f} "
-                         f"{speedup_text:>9}")
-        return "\n".join(lines)
-
-    def best_cpu_level_speedup(self, cpu_level: str = CPU_QUANTUM) -> float:
-        """The largest cpu-level-over-cycle CPS ratio in the report."""
-        best = 0.0
-        for result in self.results:
-            if result.cpu_level != cpu_level:
-                continue
-            if self.has(result.variant, result.engine, result.bus_level,
-                        CPU_CYCLE):
-                best = max(best, self.cpu_level_speedup(
-                    result.variant, cpu_level, engine=result.engine,
-                    bus_level=result.bus_level))
-        return best
+    def best_speedup(self, seam: str, level: str) -> float:
+        """The largest ratio of ``level`` over the reference level that
+        ``seam``'s table prints (0.0 when it prints none)."""
+        ratios = [self._seam_speedup(result, seam)
+                  for result in self._seam_rows(seam)
+                  if getattr(result, seam) == level]
+        return max((ratio for ratio in ratios if ratio is not None),
+                   default=0.0)
 
     # -- shape checks --------------------------------------------------------------
     def shape_checks(self) -> dict[str, bool]:
@@ -396,11 +276,6 @@ class Figure2Report:
             checks["kernel_capture_roughly_halves_boot_time"] = \
                 self.capture_boot_speedup() > 1.3
         return checks
-
-    def all_shape_checks_pass(self) -> bool:
-        """True when every applicable qualitative claim is reproduced."""
-        checks = self.shape_checks()
-        return bool(checks) and all(checks.values())
 
     # -- rendering -------------------------------------------------------------------
     def to_rows(self) -> list[dict]:

@@ -50,9 +50,8 @@ from ..bus.transport import BUS_SIGNAL, bus_levels as _bus_levels
 from ..iss.wrapper import CPU_CYCLE, cpu_levels as _cpu_levels
 from ..kernel.engine import engine_kinds as _engine_kinds
 from ..platform import VanillaNetPlatform, VariantName, variant_config
-from ..software import build_boot_program, memory_exercise_program
+from ..software import build_boot_program
 from .experiment import ExperimentOptions, Figure2Experiment, VariantResult
-from .job import JobSpec, ResultCache
 
 BENCH_FIG2_SCHEMA = "bench-fig2/v3"
 
@@ -252,10 +251,6 @@ class SweepReport:
     snapshots_used: bool = False
     cells_total: int = 0
     retries_used: int = 0
-    #: Cells served from the content-addressed result cache (no
-    #: simulation at all) versus cells that had to run.
-    cache_hits: int = 0
-    cache_misses: int = 0
 
     def raise_on_errors(self) -> None:
         """Raise ``RuntimeError`` when any cell ended as an error record."""
@@ -316,8 +311,7 @@ def run_matrix_sweep(options: Optional[ExperimentOptions] = None,
                      timeout_s: Optional[float] = 600.0,
                      retries: int = 1,
                      use_snapshots: bool = True,
-                     progress: Optional[Callable[[str], None]] = None,
-                     cache_dir: "Optional[str | pathlib.Path]" = None
+                     progress: Optional[Callable[[str], None]] = None
                      ) -> SweepReport:
     """Measure the Figure 2 matrix in parallel.
 
@@ -329,12 +323,6 @@ def run_matrix_sweep(options: Optional[ExperimentOptions] = None,
     cold) by itself.  Jobs that fail or overrun ``timeout_s`` are
     retried ``retries`` times, then recorded in
     :attr:`SweepReport.errors`.
-
-    ``cache_dir`` names a content-addressed :class:`~repro.core.job.
-    ResultCache` directory: each cell's :class:`~repro.core.job.JobSpec`
-    is hashed up front, cached cells are served without building or
-    booting anything, and newly measured cells are stored.  A repeated
-    sweep over unchanged inputs therefore performs zero re-simulation.
     """
     started = time.perf_counter()
     if options is None:
@@ -351,43 +339,24 @@ def run_matrix_sweep(options: Optional[ExperimentOptions] = None,
     results_by_cell: dict[SweepCell, VariantResult] = {}
     snapshot_paths: dict[VariantName, Optional[str]] = {}
 
-    # Content-addressed warm path: hash every cell's job, serve hits.
-    cache: Optional[ResultCache] = None
-    specs_by_cell: dict[SweepCell, JobSpec] = {}
-    if cache_dir is not None:
-        cache = ResultCache(cache_dir)
-        boot_program = build_boot_program(options.boot_params())
-        rtl_program = memory_exercise_program(region_bytes=64)
-        for cell in cells:
-            program = rtl_program if cell.variant is VariantName.RTL_HDL \
-                else boot_program
-            specs_by_cell[cell] = JobSpec.for_cell(cell, options,
-                                                   program=program)
-            cached = cache.get(specs_by_cell[cell])
-            if cached is not None:
-                results_by_cell[cell] = cached
-    pending = [cell for cell in cells if cell not in results_by_cell]
-
     snapshotting = use_snapshots and options.warmup_instructions > 0
     families = []
     if snapshotting:
         seen = set()
-        for cell in pending:
+        for cell in cells:
             if cell.variant is not VariantName.RTL_HDL \
                     and cell.variant not in seen:
                 seen.add(cell.variant)
                 families.append(cell.variant)
 
     report.snapshots_used = bool(families)
-    progress_line = _Progress(len(families) + len(pending), progress)
+    progress_line = _Progress(len(families) + len(cells), progress)
 
     def record_cell(outcome: dict, attempts_left: int) -> bool:
         """Fold a finished cell job in; returns True to retry it."""
         cell = outcome["cell"]
         if outcome["ok"]:
             results_by_cell[cell] = outcome["result"]
-            if cache is not None:
-                cache.put(specs_by_cell[cell], outcome["result"])
             progress_line.advance(f"{cell.key} ok")
             return False
         if attempts_left > 0:
@@ -421,7 +390,7 @@ def run_matrix_sweep(options: Optional[ExperimentOptions] = None,
                                                snapshot_dir, timeout_s)
                     if not record_family(outcome, retries - attempt):
                         break
-            for cell in pending:
+            for cell in cells:
                 path = snapshot_paths.get(cell.variant)
                 for attempt in range(retries + 1):
                     outcome = _measure_cell_job(cell, options, path,
@@ -429,14 +398,11 @@ def run_matrix_sweep(options: Optional[ExperimentOptions] = None,
                     if not record_cell(outcome, retries - attempt):
                         break
         else:
-            _run_pool(pending, families, options, snapshot_dir, jobs,
+            _run_pool(cells, families, options, snapshot_dir, jobs,
                       timeout_s, retries, snapshot_paths, record_cell,
                       record_family)
 
     progress_line.finish()
-    if cache is not None:
-        report.cache_hits = cache.hits
-        report.cache_misses = cache.misses
     report.results = [results_by_cell[cell] for cell in cells
                       if cell in results_by_cell]
     report.errors.sort(key=lambda error: cell_sort_key(SweepCell(
@@ -506,24 +472,13 @@ def _run_pool(cells, families, options, snapshot_dir, jobs, timeout_s,
 # BENCH_fig2.json document helpers
 # ---------------------------------------------------------------------- #
 def load_fig2_results(path: pathlib.Path) -> dict:
-    """The ``BENCH_fig2.json`` document at ``path`` (skeleton if absent).
-
-    ``bench-fig2/v2`` documents (no CPU-level dimension) are migrated in
-    place: every v2 entry was a cycle-level measurement.
-    """
+    """The ``BENCH_fig2.json`` document at ``path`` (skeleton if absent)."""
     path = pathlib.Path(path)
     if path.exists():
         try:
             document = json.loads(path.read_text())
             if document.get("schema") == BENCH_FIG2_SCHEMA:
                 return document
-            if document.get("schema") == "bench-fig2/v2":
-                entries = {}
-                for key, entry in document.get("entries", {}).items():
-                    entry = dict(entry)
-                    entry.setdefault("cpu_level", CPU_CYCLE)
-                    entries[f"{key}/{entry['cpu_level']}"] = entry
-                return {"schema": BENCH_FIG2_SCHEMA, "entries": entries}
         except (ValueError, AttributeError):
             pass
     return {"schema": BENCH_FIG2_SCHEMA, "entries": {}}

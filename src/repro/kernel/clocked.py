@@ -134,12 +134,6 @@ class ClockedEngine(SimulationEngine):
         # before calling here).
         return
 
-    def _has_timed_activity(self) -> bool:
-        if self._buckets:
-            return True
-        return any(entry.next_edge_ps is not None and entry.clock._running
-                   for entry in self._adopted)
-
     def _clear_timed_state(self) -> None:
         # Adopted clocks and edge plans survive a restore reset: the clock
         # objects were re-created by fresh elaboration and their arithmetic

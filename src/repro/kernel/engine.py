@@ -377,14 +377,6 @@ class SimulationEngine:
             return len(self._processes)
         return sum(1 for process in self._processes if process.kind == kind)
 
-    def pending_activity(self) -> bool:
-        """True if any runnable process or queued notification remains."""
-        return bool(self._runnable or self._update_queue
-                    or self._delta_events) or self._has_timed_activity()
-
-    def _has_timed_activity(self) -> bool:
-        raise NotImplementedError
-
     # ------------------------------------------------------------------ #
     # diagnostics
     # ------------------------------------------------------------------ #

@@ -54,13 +54,6 @@ class Process:
             event.add_static(self)
 
     # -- sensitivity --------------------------------------------------------
-    def add_sensitivity(self, *events: Event) -> None:
-        """Extend the static sensitivity list after construction."""
-        for event in events:
-            if event not in self.static_sensitivity:
-                self.static_sensitivity.append(event)
-                event.add_static(self)
-
     def clear_sensitivity(self) -> None:
         """Remove every static sensitivity entry."""
         for event in self.static_sensitivity:

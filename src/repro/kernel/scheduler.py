@@ -59,9 +59,6 @@ class Simulator(SimulationEngine):
                              if entry[2] is not event]
         heapq.heapify(self._timed_queue)
 
-    def _has_timed_activity(self) -> bool:
-        return bool(self._timed_queue)
-
     def _clear_timed_state(self) -> None:
         self._timed_queue.clear()
         self._timed_seq = 0

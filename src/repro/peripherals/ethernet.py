@@ -182,18 +182,6 @@ class EthernetMacProxy(OpbSlave):
             margin += 1 + REQUEST_TO_GRANT_CYCLES + ACK_TO_MASTER_CYCLES
         return floor + margin * self.clock.period_ps
 
-    def delivery_horizon_ps(self) -> int | None:
-        """Earliest simulated time the link can deliver a frame to this MAC.
-
-        None while no link is attached (the proxy then never receives).
-        This is the warp horizon the quantum-mode ISS uses as a burst
-        bound: RX state observed strictly before this time is guaranteed
-        final, and the RX interrupt cannot rise before it.
-        """
-        if self.link is None:
-            return None
-        return self.link.earliest_delivery_ps(self.link_port)
-
     def _update_interrupt(self) -> None:
         level = 1 if (self._rx_frames and self.rx_interrupt_enabled) else 0
         if self.interrupt._next != level:

@@ -79,11 +79,3 @@ def region_named(name: str) -> Region:
         if region.name == name:
             return region
     raise KeyError(name)
-
-
-def region_for_address(address: int) -> Region:
-    """The region containing ``address`` (raises ``KeyError`` if none)."""
-    for region in REGIONS:
-        if region.contains(address):
-            return region
-    raise KeyError(f"no region contains {address:#010x}")

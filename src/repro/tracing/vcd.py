@@ -173,11 +173,6 @@ class Tracer(SimComponent):
             dont_initialize=True,
         )
 
-    def trace_many(self, signals: dict) -> None:
-        """Trace a mapping of ``name -> signal``."""
-        for name, signal in signals.items():
-            self.trace(signal, name)
-
     # -- sampling ------------------------------------------------------------
     @staticmethod
     def _sample(signal):

@@ -1,4 +1,4 @@
-"""Tests of the evaluation harness: metrics, registry, experiment, report."""
+"""Tests of the evaluation harness: metrics, experiment, report."""
 
 import signal
 import threading
@@ -10,10 +10,8 @@ from hypothesis import given, strategies as st
 from repro.core.sweep import _JobTimeout, _call_with_timeout
 from repro.core import (AggregatedSpeed, ExperimentOptions, Figure2Experiment,
                         REFERENCE_BOOT_INSTRUCTIONS, SpeedMeasurement,
-                        TECHNIQUES, build_report, cycle_accurate_techniques,
-                        cycles_per_second, format_duration,
-                        runtime_toggleable_techniques, speedup,
-                        technique_for, to_khz)
+                        build_report, cycles_per_second, format_duration,
+                        speedup, to_khz)
 from repro.platform import (PAPER_FIGURE2_CPS_KHZ, VariantName,
                             all_systemc_variants, variant_config)
 from repro.signals import DataMode
@@ -104,29 +102,12 @@ class TestAggregatedSpeed:
         assert aggregate.projected_boot_seconds() == float("inf")
 
 
-class TestRegistry:
-    def test_every_variant_has_a_technique(self):
-        for variant in VariantName:
-            assert technique_for(variant).variant is variant
-
-    def test_cycle_accuracy_classification_matches_config(self):
-        for technique in TECHNIQUES:
-            if technique.variant is VariantName.RTL_HDL:
-                continue
-            config = variant_config(technique.variant)
-            assert config.is_cycle_accurate == technique.cycle_accurate
-
-    def test_runtime_toggleable_subset(self):
-        names = {t.variant for t in runtime_toggleable_techniques()}
-        assert VariantName.SUPPRESS_INSTRUCTION_MEMORY in names
-        assert VariantName.KERNEL_FUNCTION_CAPTURE in names
-        assert VariantName.NATIVE_TYPES not in names
-
-    def test_cycle_accurate_subset_size(self):
-        assert len(cycle_accurate_techniques()) == 7
-
-
 class TestVariantConfigs:
+    def test_cycle_accuracy_classification_matches_config(self):
+        for variant in all_systemc_variants():
+            assert variant_config(variant).is_cycle_accurate \
+                == variant.is_cycle_accurate
+
     def test_optimisations_accumulate_left_to_right(self):
         initial = variant_config(VariantName.INITIAL)
         native = variant_config(VariantName.NATIVE_TYPES)

@@ -19,8 +19,7 @@ import dataclasses
 
 import pytest
 
-from repro.bus import BUS_FUNCTIONAL, BUS_SIGNAL, BUS_TRANSACTION, bus_levels
-from repro.core import EXECUTION_SEAMS, seam_for
+from repro.bus import BUS_FUNCTIONAL, BUS_SIGNAL, BUS_TRANSACTION
 from repro.isa.assembler import assemble
 from repro.iss import CPU_CYCLE, CPU_QUANTUM, cpu_levels
 from repro.iss.functional import FunctionalMicroBlaze
@@ -96,13 +95,6 @@ class TestCpuLevelConfig:
         platform = boot_platform(VariantName.NATIVE_TYPES, CPU_QUANTUM,
                                  quantum_instructions=64)
         assert platform.microblaze.quantum_instructions == 64
-
-    def test_cpu_level_registered_as_execution_seam(self):
-        seam = seam_for("cpu_level")
-        assert seam.levels == tuple(cpu_levels())
-        assert seam.reference_level == CPU_CYCLE
-        assert [s.config_field for s in EXECUTION_SEAMS] \
-            == ["engine", "bus_level", "cpu_level"]
 
 
 class TestCrossLevelIdentity:
