@@ -165,10 +165,8 @@ class Figure2Report:
     # -- seam comparisons (engine / bus level / cpu level ablations) ----------
     def levels_present(self, seam: str) -> list[str]:
         """Levels of ``seam`` (a ``ModelConfig`` field name) in the
-        report, reference level first."""
-        reference = _SEAMS[seam].reference
-        return sorted({getattr(result, seam) for result in self.results},
-                      key=lambda level: (level != reference, level))
+        report, sorted by name."""
+        return sorted({getattr(result, seam) for result in self.results})
 
     def _seam_rows(self, seam: str) -> list[VariantResult]:
         """The rows of ``seam``'s table: every result whose later seams
@@ -182,8 +180,9 @@ class Figure2Report:
     def _seam_speedup(self, result: VariantResult,
                       seam: str) -> Optional[float]:
         """CPS ratio of ``result`` over the cell that differs from it only
-        in ``seam``, which sits at the reference level; None when
-        ``result`` is that reference or the cell was not measured."""
+        in ``seam``, where that cell is at ``seam``'s reference level;
+        None when ``result`` is itself at the reference level or that
+        cell was not measured."""
         cell = {name: getattr(result, name) for name in _SEAMS}
         if cell[seam] == _SEAMS[seam].reference:
             return None
