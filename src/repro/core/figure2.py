@@ -18,7 +18,7 @@ list of :class:`~repro.core.experiment.VariantResult` objects into
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from ..bus.transport import BUS_SIGNAL
 from ..iss.wrapper import CPU_CYCLE
@@ -37,8 +37,12 @@ class _SeamTable:
     #: Title and width of the level column.
     title: str
     width: int
-    #: Columns between CPS and the ratio: names in ``_EXTRA_COLUMNS``.
-    extras: tuple[str, ...] = ()
+    #: Columns between CPS and the ratio: (title, row formatter) pairs.
+    extras: tuple[tuple[str, Callable[[VariantResult], str]], ...] = ()
+
+
+_CPI = ("CPI", lambda result: f"{result.cpi:>6.2f}")
+_PROCS = ("procs", lambda result: f"{result.process_count:>6}")
 
 
 #: The execution seams keyed by ``ModelConfig`` field, in nesting order.
@@ -47,13 +51,8 @@ class _SeamTable:
 #: the bus table never mixes cpu levels.
 _SEAMS = {
     "engine": _SeamTable(ENGINE_GENERIC, "engine", 8),
-    "bus_level": _SeamTable(BUS_SIGNAL, "bus level", 12, ("CPI", "procs")),
-    "cpu_level": _SeamTable(CPU_CYCLE, "cpu level", 10, ("CPI",)),
-}
-
-_EXTRA_COLUMNS = {
-    "CPI": lambda result: f"{result.cpi:>6.2f}",
-    "procs": lambda result: f"{result.process_count:>6}",
+    "bus_level": _SeamTable(BUS_SIGNAL, "bus level", 12, (_CPI, _PROCS)),
+    "cpu_level": _SeamTable(CPU_CYCLE, "cpu level", 10, (_CPI,)),
 }
 
 
@@ -205,7 +204,7 @@ class Figure2Report:
         ratio_width = len(ratio_title) + 1
         header = (f"{'configuration':<24} {table.title:>{table.width}} "
                   f"{'CPS [kHz]':>10}"
-                  + "".join(f" {name:>6}" for name in table.extras)
+                  + "".join(f" {title:>6}" for title, _ in table.extras)
                   + f" {ratio_title:>{ratio_width}}")
         lines = [header, "-" * len(header)]
         for result in self._seam_rows(seam):
@@ -215,8 +214,8 @@ class Figure2Report:
                 f"{result.variant.value:<24} "
                 f"{getattr(result, seam):>{table.width}} "
                 f"{result.cps_khz:>10.3f}"
-                + "".join(f" {_EXTRA_COLUMNS[name](result)}"
-                          for name in table.extras)
+                + "".join(f" {column(result)}"
+                          for _, column in table.extras)
                 + f" {speedup_text:>{ratio_width}}")
         return "\n".join(lines)
 
