@@ -456,6 +456,20 @@ class FunctionalFabric(TransactionFabric):
         self._account(master_id, cycles)
         return cycles
 
+    def account_direct(self, master_id: int, transfers: int,
+                       cycles: int) -> None:
+        """Book ``transfers`` DMI transfers of ``cycles`` cycles in total at
+        once, exactly as that many :meth:`direct_read`/:meth:`direct_write`
+        calls would (the ISS's compiled traces batch theirs)."""
+        self.transactions_granted += transfers
+        self.per_master_transactions[master_id] = \
+            self.per_master_transactions.get(master_id, 0) + transfers
+        self.dmi_hits += transfers
+        self.transfer_count += transfers
+        self.cycles_spent += cycles
+        self.per_master_transfers[master_id] = \
+            self.per_master_transfers.get(master_id, 0) + transfers
+
 
 def create_fabric(kind: str, **kwargs) -> BusTransport:
     """Instantiate a fabric by selector name.

@@ -10,6 +10,7 @@ re-decoding hot loops.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from ..kernel.errors import DecodeError
@@ -38,7 +39,7 @@ class Instruction:
     #: True when the branch links the return address into ``rd``.
     link: bool = False
 
-    @property
+    @cached_property
     def is_branch(self) -> bool:
         """True for any control-transfer instruction."""
         return self.opcode in (enc.OP_BR, enc.OP_BRI, enc.OP_BCC,
@@ -49,19 +50,19 @@ class Instruction:
         """True for loads and stores."""
         return self.is_load or self.is_store
 
-    @property
+    @cached_property
     def is_load(self) -> bool:
         """True for load instructions."""
         return self.opcode in (enc.OP_LBU, enc.OP_LHU, enc.OP_LW,
                                enc.OP_LBUI, enc.OP_LHUI, enc.OP_LWI)
 
-    @property
+    @cached_property
     def is_store(self) -> bool:
         """True for store instructions."""
         return self.opcode in (enc.OP_SB, enc.OP_SH, enc.OP_SW,
                                enc.OP_SBI, enc.OP_SHI, enc.OP_SWI)
 
-    @property
+    @cached_property
     def access_size(self) -> int:
         """Size in bytes of the memory access (1, 2 or 4); 0 otherwise."""
         if self.opcode in (enc.OP_LBU, enc.OP_LBUI, enc.OP_SB, enc.OP_SBI):
@@ -238,59 +239,42 @@ class DecodedEntry:
 
     Where :class:`DecodeCache` memoises *words*, a :class:`DecodedEntry`
     memoises one *program location*: the word fetched from ``pc``, its
-    decoded form, a precompiled zero-argument closure executing it with
-    operands already resolved, and everything the per-instruction hot path
-    would otherwise recompute (mnemonic string, profile function name,
-    memory-access classification).  Entries link forward into basic blocks
-    through ``next_entry`` so straight-line code executes without even a
-    dictionary lookup; the link carries the successor's ``pc`` guard, so a
-    stale link can never execute the wrong location.
-
-    ``valid`` flips to False when a store overwrites the cached word
-    (self-modifying code) -- consumers must check it before executing a
-    chained entry.  ``fetch_cycles``/``fetch_epoch`` let the
-    temporally-decoupled wrapper reuse the protocol cycle annotation of
-    the first fetch while the fetch routing (dispatcher toggles) is
-    unchanged.
+    decoded form, the core handler executing it, and everything the
+    per-instruction hot path would otherwise recompute (mnemonic string,
+    profile function name, memory-access classification).
+    ``fetch_cycles``/``fetch_epoch`` let the temporally-decoupled wrapper
+    reuse the protocol cycle annotation of the first fetch while the fetch
+    routing (dispatcher toggles) is unchanged; ``heat`` counts the warp's
+    dispatches from this location and ``trace`` holds the compiled trace
+    starting here.  Dropping the entry drops its trace.
     """
 
-    __slots__ = ("pc", "word", "instruction", "mnemonic", "execute",
+    __slots__ = ("pc", "word", "instruction", "mnemonic", "handler",
                  "function_name", "is_load", "is_store", "is_imm",
-                 "access_size", "delay_slot", "valid", "next_entry",
-                 "fetch_cycles", "fetch_epoch", "falls_through", "block",
-                 "ea", "rd")
+                 "access_size", "delay_slot", "fetch_cycles", "fetch_epoch",
+                 "heat", "trace")
 
     def __init__(self, pc: int, word: int, instruction: Instruction,
-                 execute, function_name: Optional[str]) -> None:
+                 handler, function_name: Optional[str]) -> None:
         self.pc = pc
         self.word = word
         self.instruction = instruction
         self.mnemonic = instruction.mnemonic
-        self.execute = execute
+        self.handler = handler
         self.function_name = function_name
         self.is_load = instruction.is_load
         self.is_store = instruction.is_store
         self.is_imm = instruction.mnemonic == "imm"
         self.access_size = instruction.access_size
         self.delay_slot = instruction.delay_slot
-        self.valid = True
-        self.next_entry: Optional["DecodedEntry"] = None
         self.fetch_cycles = -1
         self.fetch_epoch = -1
-        #: True when executing can only advance the PC by 4: no branch,
-        #: no IMM prefix, no memory access, no PC-reading special move.
-        #: Set by the core, which knows the handler families.
-        self.falls_through = False
-        #: Cached straight-line block starting here (built by the wrapper).
-        self.block = None
-        #: Precompiled effective-address closure (loads/stores only; valid
-        #: while no IMM prefix is active).  Set by the core.
-        self.ea = None
-        self.rd = instruction.rd
+        self.heat = 0
+        self.trace = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"DecodedEntry(pc={self.pc:#010x}, "
-                f"mnemonic={self.mnemonic!r}, valid={self.valid})")
+                f"mnemonic={self.mnemonic!r})")
 
 
 class DecodeCache:

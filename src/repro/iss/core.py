@@ -17,8 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ..datatypes import (WORD_MASK, get_field, mask, sign_extend, to_signed,
-                         truncate)
+from ..datatypes import WORD_MASK, mask, sign_extend, to_signed, truncate
 from ..kernel.component import SimComponent
 from ..kernel.errors import ModelError
 from ..isa import encoding as enc
@@ -26,6 +25,27 @@ from ..isa.decoder import DecodeCache, DecodedEntry, Instruction
 from ..isa.registers import (INTERRUPT_LINK_REGISTER, MachineStatusRegister,
                              RegisterFile)
 from .statistics import ExecutionStatistics
+
+#: Value masks per access size.
+_SIZE_MASKS = {1: 0xFF, 2: 0xFFFF, 4: WORD_MASK}
+_TYPE_B = enc.Format.TYPE_B
+
+#: ``(use_carry, keep_carry)`` of each add/rsub mnemonic: a ``c`` after
+#: the stem adds the carry in, a ``k`` keeps the carry flag unchanged.
+CARRY_FLAGS = {}
+for _stem in ("add", "rsub"):
+    for _flags in ("", "c", "k", "kc"):
+        for _name in (_stem + _flags, _stem + "i" + _flags):
+            CARRY_FLAGS[_name] = ("c" in _flags, "k" in _flags)
+
+#: The operation of each logic mnemonic.
+LOGIC_OPS = {"or": "or", "ori": "or", "and": "and", "andi": "and",
+             "xor": "xor", "xori": "xor", "andn": "andn", "andni": "andn"}
+
+#: Branch conditions on the signed register value.
+_CONDITIONS = {"eq": lambda a: a == 0, "ne": lambda a: a != 0,
+               "lt": lambda a: a < 0, "le": lambda a: a <= 0,
+               "gt": lambda a: a > 0, "ge": lambda a: a >= 0}
 
 FetchFn = Callable[[int], int]
 LoadFn = Callable[[int, int], int]
@@ -48,8 +68,9 @@ class StepResult:
 class DecodedCacheState(SimComponent):
     """State-protocol face of a core's decoded-program cache.
 
-    The cache entries hold compiled closures bound to their core's register
-    file and cannot be serialized; the component therefore captures nothing
+    The cache entries hold handlers and compiled traces bound to their
+    core's register file and cannot be serialized; the component therefore
+    captures nothing
     and restoring simply invalidates the cache so a restored core rebuilds
     its entries deterministically on demand.
     """
@@ -85,15 +106,6 @@ class MicroBlazeCore(SimComponent):
         self._imm_prefix: Optional[int] = None
         self._branch_after_delay: Optional[int] = None
         self._dispatch = self._build_dispatch()
-        #: Handler families whose instructions always fall straight
-        #: through to pc+4: no branch, no IMM prefix, no memory access and
-        #: no PC-reading special move (``mfs`` can read the PC, so it is
-        #: deliberately absent).  Such entries may join basic blocks.
-        self._fallthrough_handlers = {
-            self._exec_add, self._exec_rsub, self._exec_cmp,
-            self._exec_logic, self._exec_mul, self._exec_idiv,
-            self._exec_barrel_shift, self._exec_shift_one, self._exec_sext,
-        }
         #: Address-keyed decoded-program cache (the temporally-decoupled
         #: fast path's working set; see :meth:`build_decoded`).
         self._decoded: dict[int, DecodedEntry] = {}
@@ -219,8 +231,8 @@ class MicroBlazeCore(SimComponent):
 
     def preview_store_value(self, instruction: Instruction) -> int:
         """Value the given store instruction will write (pre-step preview)."""
-        return self.regs.read(instruction.rd) & mask(
-            instruction.access_size * 8)
+        return self.regs._regs[instruction.rd] \
+            & _SIZE_MASKS[instruction.access_size]
 
     # ------------------------------------------------------------------ #
     # interrupt entry
@@ -251,12 +263,13 @@ class MicroBlazeCore(SimComponent):
         """The effective 32-bit immediate, honouring an IMM prefix."""
         if self._imm_prefix is not None:
             return ((self._imm_prefix << 16) | instruction.imm) & WORD_MASK
-        return sign_extend(instruction.imm, 16)
+        return ((instruction.imm ^ 0x8000) - 0x8000) & WORD_MASK
 
     def _operand_b(self, instruction: Instruction) -> int:
-        if instruction.fmt is enc.Format.TYPE_B:
+        if instruction.fmt is _TYPE_B:
             return self._imm32(instruction)
-        return self.regs.read(instruction.rb)
+        # Operand fields are 5 bits: always a valid register index.
+        return self.regs._regs[instruction.rb]
 
     # ------------------------------------------------------------------ #
     # instruction semantics
@@ -306,11 +319,9 @@ class MicroBlazeCore(SimComponent):
     _NO_BRANCH = (0, False, None, False)
 
     def _exec_add(self, instruction: Instruction) -> tuple:
-        a = self.regs.read(instruction.ra)
+        a = self.regs._regs[instruction.ra]
         b = self._operand_b(instruction)
-        mnemonic = instruction.mnemonic
-        use_carry = "c" in mnemonic.replace("addi", "add")[3:]
-        keep_carry = "k" in mnemonic[3:5]
+        use_carry, keep_carry = CARRY_FLAGS[instruction.mnemonic]
         total = a + b + (self.msr.carry if use_carry else 0)
         self.regs.write(instruction.rd, total)
         if not keep_carry:
@@ -318,12 +329,9 @@ class MicroBlazeCore(SimComponent):
         return self._NO_BRANCH
 
     def _exec_rsub(self, instruction: Instruction) -> tuple:
-        a = self.regs.read(instruction.ra)
+        a = self.regs._regs[instruction.ra]
         b = self._operand_b(instruction)
-        mnemonic = instruction.mnemonic
-        suffix = mnemonic.replace("rsubi", "rsub")[4:]
-        use_carry = "c" in suffix
-        keep_carry = "k" in suffix
+        use_carry, keep_carry = CARRY_FLAGS[instruction.mnemonic]
         addend = self.msr.carry if use_carry else 1
         total = b + (WORD_MASK ^ a) + addend
         self.regs.write(instruction.rd, total)
@@ -344,10 +352,9 @@ class MicroBlazeCore(SimComponent):
         return self._NO_BRANCH
 
     def _exec_logic(self, instruction: Instruction) -> tuple:
-        a = self.regs.read(instruction.ra)
+        a = self.regs._regs[instruction.ra]
         b = self._operand_b(instruction)
-        op = instruction.mnemonic.rstrip("i") \
-            if instruction.fmt is enc.Format.TYPE_B else instruction.mnemonic
+        op = LOGIC_OPS[instruction.mnemonic]
         if op == "or":
             result = a | b
         elif op == "and":
@@ -380,7 +387,7 @@ class MicroBlazeCore(SimComponent):
 
     def _exec_barrel_shift(self, instruction: Instruction) -> tuple:
         a = self.regs.read(instruction.ra)
-        if instruction.fmt is enc.Format.TYPE_B:
+        if instruction.fmt is _TYPE_B:
             amount = instruction.imm & 0x1F
             kind = instruction.imm & 0x600
         else:
@@ -452,7 +459,7 @@ class MicroBlazeCore(SimComponent):
 
     def _exec_branch(self, instruction: Instruction) -> tuple:
         pc = self.pc
-        if instruction.fmt is enc.Format.TYPE_B:
+        if instruction.fmt is _TYPE_B:
             value = self._imm32(instruction)
         else:
             value = self.regs.read(instruction.rb)
@@ -464,16 +471,11 @@ class MicroBlazeCore(SimComponent):
 
     def _exec_cond_branch(self, instruction: Instruction) -> tuple:
         pc = self.pc
-        a = to_signed(self.regs.read(instruction.ra))
-        condition = instruction.condition
-        taken = {
-            "eq": a == 0, "ne": a != 0, "lt": a < 0,
-            "le": a <= 0, "gt": a > 0, "ge": a >= 0,
-        }[condition]
-        if not taken:
+        a = to_signed(self.regs._regs[instruction.ra])
+        if not _CONDITIONS[instruction.condition](a):
             return self._NO_BRANCH
         offset = self._imm32(instruction) \
-            if instruction.fmt is enc.Format.TYPE_B \
+            if instruction.fmt is _TYPE_B \
             else self.regs.read(instruction.rb)
         target = truncate(pc + offset, 32)
         return (target, True, None, False)
@@ -495,24 +497,25 @@ class MicroBlazeCore(SimComponent):
         address = self._effective_address(instruction)
         size = instruction.access_size
         value = self.load(address, size)
-        self.regs.write(instruction.rd, value & mask(size * 8))
-        self.stats.record_load()
+        self.regs.write(instruction.rd, value & _SIZE_MASKS[size])
+        self.stats.loads += 1
         return (0, False, address, False)
 
     def _exec_store(self, instruction: Instruction) -> tuple:
         address = self._effective_address(instruction)
         size = instruction.access_size
-        value = self.regs.read(instruction.rd) & mask(size * 8)
+        value = self.regs._regs[instruction.rd] & _SIZE_MASKS[size]
         self.store(address, value, size)
-        self.stats.record_store()
+        self.stats.stores += 1
         if self._decoded:
             self.invalidate_code(address, size)
         return (0, False, address, True)
 
     def _effective_address(self, instruction: Instruction) -> int:
-        base = self.regs.read(instruction.ra)
-        offset = self._operand_b(instruction)
-        return truncate(base + offset, 32)
+        values = self.regs._regs
+        offset = self._imm32(instruction) if instruction.fmt is _TYPE_B \
+            else values[instruction.rb]
+        return (values[instruction.ra] + offset) & WORD_MASK
 
     # ------------------------------------------------------------------ #
     # decoded-program cache (the temporally-decoupled fast path)
@@ -522,7 +525,7 @@ class MicroBlazeCore(SimComponent):
         return self._decoded.get(pc)
 
     def build_decoded(self, pc: int, word: int) -> DecodedEntry:
-        """Decode ``word`` at ``pc`` into a cached precompiled entry."""
+        """Decode ``word`` at ``pc`` into a cached entry."""
         instruction = self.decode_cache.lookup(word)
         handler = self._dispatch.get(instruction.mnemonic)
         if handler is None:
@@ -531,12 +534,7 @@ class MicroBlazeCore(SimComponent):
         symbols = self.stats.symbols
         function_name = symbols.containing(pc) \
             if symbols is not None else None
-        entry = DecodedEntry(pc, word, instruction,
-                             self._specialise(instruction, handler),
-                             function_name)
-        entry.falls_through = handler in self._fallthrough_handlers
-        if instruction.is_load or instruction.is_store:
-            entry.ea = self._compile_effective_address(instruction)
+        entry = DecodedEntry(pc, word, instruction, handler, function_name)
         self._decoded[pc] = entry
         self.stats.decoded_entries += 1
         return entry
@@ -546,16 +544,11 @@ class MicroBlazeCore(SimComponent):
 
         Replicates :meth:`step` exactly, minus the fetch (the caller has
         already routed it) and the interrupt check (the caller only runs
-        decoded entries while no interrupt can be pending).  An active IMM
-        prefix falls back to the generic handler, which resolves the
-        combined 32-bit immediate.
+        decoded entries while no interrupt can be pending).
         """
         pc = self.pc
-        if self._imm_prefix is not None:
-            outcome = self._dispatch[entry.mnemonic](entry.instruction)
-        else:
-            outcome = entry.execute()
-        target, took_branch, _mem_addr, _mem_is_store = outcome
+        target, took_branch, _mem_addr, _mem_is_store = \
+            entry.handler(entry.instruction)
 
         if not entry.is_imm:
             self._imm_prefix = None
@@ -586,290 +579,49 @@ class MicroBlazeCore(SimComponent):
 
         Called on every executed store (and by the interception layer's
         native byte writes), keeping the decoded-program cache safe under
-        self-modifying code.  A popped entry is also flagged invalid so
-        basic-block links pointing at it can never execute stale code.
-        ``size`` is a store's (at most 4): only the words holding the first
-        and the last byte are checked; see :meth:`invalidate_code_range`.
+        self-modifying code.  Every drop bumps ``decoded_invalidations``,
+        the stamp compiled traces are checked against, so no trace built
+        over the old word runs again.  ``size`` is a store's (at most 4):
+        only the words holding the first and the last byte are checked; see
+        :meth:`invalidate_code_range`.
         """
         cache = self._decoded
         if not cache:
             return
         first = address & ~3
         last = (address + size - 1) & ~3
-        entry = cache.pop(first, None)
-        if entry is not None:
-            entry.valid = False
+        if cache.pop(first, None) is not None:
             self.stats.decoded_invalidations += 1
-        if last != first:
-            entry = cache.pop(last, None)
-            if entry is not None:
-                entry.valid = False
-                self.stats.decoded_invalidations += 1
+        if last != first and cache.pop(last, None) is not None:
+            self.stats.decoded_invalidations += 1
 
     def invalidate_code_range(self, address: int, length: int) -> None:
         """Drop decoded entries overlapped by ``length`` written bytes.
 
         The range form of :meth:`invalidate_code` for a native ``memset``
-        or ``memcpy``: the same entries go, with the same statistics, as
-        when each byte is invalidated on its own.
+        or ``memcpy``: the same entries go, with the same statistics (and
+        so with every trace the range overlaps), as when each byte is
+        invalidated on its own.  It walks the range's words or the cache's
+        keys, whichever are fewer.
         """
         cache = self._decoded
         if not cache or length <= 0:
             return
         first = address & ~3
         last = (address + length - 1) & ~3
-        for pc in range(first, last + 4, 4):
-            entry = cache.pop(pc, None)
-            if entry is not None:
-                entry.valid = False
-                self.stats.decoded_invalidations += 1
+        if (last - first) // 4 < len(cache):
+            dropped = [pc for pc in range(first, last + 4, 4) if pc in cache]
+        else:
+            dropped = [pc for pc in cache
+                       if first <= pc <= last and not pc & 3]
+        for pc in dropped:
+            del cache[pc]
+        self.stats.decoded_invalidations += len(dropped)
 
     def clear_decoded_cache(self) -> None:
-        """Invalidate the whole decoded-program cache (program reload)."""
-        for entry in self._decoded.values():
-            entry.valid = False
+        """Drop the whole decoded-program cache and its traces (program
+        reload)."""
         self._decoded.clear()
-
-    def _compile_effective_address(self, instruction: Instruction) -> Callable:
-        """A zero-argument closure computing the load/store address.
-
-        Matches :meth:`_effective_address` exactly for the no-IMM-prefix
-        case (operands resolved at compile time); callers must fall back to
-        :meth:`preview_effective_address` while a prefix is active.
-        """
-        # Index the register list directly: the 5-bit operand fields are
-        # in range by construction, so the bounds check in ``regs.read``
-        # buys nothing here.
-        values = self.regs._regs
-        ra = instruction.ra
-        if instruction.fmt is enc.Format.TYPE_B:
-            imm16 = sign_extend(instruction.imm, 16)
-
-            def effective_address():
-                return (values[ra] + imm16) & WORD_MASK
-        else:
-            rb = instruction.rb
-
-            def effective_address():
-                return (values[ra] + values[rb]) & WORD_MASK
-        return effective_address
-
-    def _specialise(self, instruction: Instruction, handler) -> Callable:
-        """Compile ``instruction`` into a zero-argument closure.
-
-        The closure performs exactly what ``handler(instruction)`` would
-        -- same register/MSR traffic, same statistics, same outcome tuple
-        -- but with the per-execution work hoisted out: mnemonic string
-        parsing, operand-field extraction, format checks and the dispatch
-        lookup all happen once, here.  Only valid while no IMM prefix is
-        active (:meth:`execute_decoded` falls back to ``handler`` then).
-        """
-        regs = self.regs
-        msr = self.msr
-        mnemonic = instruction.mnemonic
-        fmt_b = instruction.fmt is enc.Format.TYPE_B
-        imm16 = sign_extend(instruction.imm, 16)
-        ra = instruction.ra
-        rb = instruction.rb
-        rd = instruction.rd
-        no_branch = self._NO_BRANCH
-
-        # The hottest handlers index the register list directly (operand
-        # fields are 5 bits, always in range; ``rd == 0`` writes are
-        # discarded by the hoisted guard exactly like ``regs.write``).
-        values = regs._regs
-
-        if handler == self._exec_add:
-            use_carry = "c" in mnemonic.replace("addi", "add")[3:]
-            keep_carry = "k" in mnemonic[3:5]
-            if not use_carry and keep_carry:
-                # addk/addik: pure addition, flags untouched.
-                if fmt_b:
-                    def exec_add():
-                        if rd:
-                            values[rd] = (values[ra] + imm16) & WORD_MASK
-                        return no_branch
-                else:
-                    def exec_add():
-                        if rd:
-                            values[rd] = (values[ra] + values[rb]) & WORD_MASK
-                        return no_branch
-                return exec_add
-            if not use_carry:
-                # add/addi: addition plus the carry-out update.
-                if fmt_b:
-                    def exec_add():
-                        total = values[ra] + imm16
-                        if rd:
-                            values[rd] = total & WORD_MASK
-                        msr.carry = 1 if total > WORD_MASK else 0
-                        return no_branch
-                else:
-                    def exec_add():
-                        total = values[ra] + values[rb]
-                        if rd:
-                            values[rd] = total & WORD_MASK
-                        msr.carry = 1 if total > WORD_MASK else 0
-                        return no_branch
-                return exec_add
-
-            def exec_add():
-                total = values[ra] + (imm16 if fmt_b else values[rb]) \
-                    + msr.carry
-                if rd:
-                    values[rd] = total & WORD_MASK
-                if not keep_carry:
-                    msr.carry = 1 if total > WORD_MASK else 0
-                return no_branch
-            return exec_add
-
-        if handler == self._exec_rsub:
-            suffix = mnemonic.replace("rsubi", "rsub")[4:]
-            use_carry = "c" in suffix
-            keep_carry = "k" in suffix
-
-            def exec_rsub():
-                a = regs.read(ra)
-                b = imm16 if fmt_b else regs.read(rb)
-                total = b + (WORD_MASK ^ a) \
-                    + (msr.carry if use_carry else 1)
-                regs.write(rd, total)
-                if not keep_carry:
-                    msr.carry = 1 if total > WORD_MASK else 0
-                return no_branch
-            return exec_rsub
-
-        if handler == self._exec_cmp:
-            signed = mnemonic == "cmp"
-
-            def exec_cmp():
-                a = values[ra]
-                b = values[rb]
-                result = (b - a) & WORD_MASK
-                if signed:
-                    # Signed order on the unsigned encodings: flipping the
-                    # sign bit biases both operands by 2**31.
-                    greater = (a ^ 0x8000_0000) > (b ^ 0x8000_0000)
-                else:
-                    greater = a > b
-                if rd:
-                    values[rd] = (result & 0x7FFF_FFFF) \
-                        | (0x8000_0000 if greater else 0)
-                return no_branch
-            return exec_cmp
-
-        if handler == self._exec_logic:
-            op = mnemonic.rstrip("i") if fmt_b else mnemonic
-
-            def exec_logic():
-                a = values[ra]
-                b = imm16 if fmt_b else values[rb]
-                if op == "or":
-                    result = a | b
-                elif op == "and":
-                    result = a & b
-                elif op == "xor":
-                    result = a ^ b
-                else:  # andn
-                    result = a & ~b
-                if rd:
-                    values[rd] = result & WORD_MASK
-                return no_branch
-            return exec_logic
-
-        if handler == self._exec_mul:
-            def exec_mul():
-                a = regs.read(ra)
-                b = imm16 if fmt_b else regs.read(rb)
-                regs.write(rd, truncate(a * b, 32))
-                return no_branch
-            return exec_mul
-
-        if handler == self._exec_branch:
-            absolute = instruction.absolute
-            link = instruction.link
-
-            def exec_branch():
-                pc = self.pc
-                value = imm16 if fmt_b else values[rb]
-                target = value if absolute else (pc + value) & WORD_MASK
-                if link and rd:
-                    values[rd] = pc & WORD_MASK
-                return (target, True, None, False)
-            return exec_branch
-
-        if handler == self._exec_cond_branch:
-            condition = instruction.condition
-
-            # The signed comparisons against zero re-expressed on the
-            # unsigned register value (bit 31 set <=> negative), so the
-            # closure needs no sign conversion at all.
-            def exec_cond_branch():
-                a = values[ra]
-                if condition == "eq":
-                    taken = a == 0
-                elif condition == "ne":
-                    taken = a != 0
-                elif condition == "lt":
-                    taken = a >= 0x8000_0000
-                elif condition == "le":
-                    taken = a == 0 or a >= 0x8000_0000
-                elif condition == "gt":
-                    taken = 0 < a < 0x8000_0000
-                else:  # ge
-                    taken = a < 0x8000_0000
-                if not taken:
-                    return no_branch
-                offset = imm16 if fmt_b else values[rb]
-                return ((self.pc + offset) & WORD_MASK, True, None, False)
-            return exec_cond_branch
-
-        if handler == self._exec_return:
-            enable_interrupts = mnemonic == "rtid"
-            clear_break = mnemonic == "rtbd"
-
-            def exec_return():
-                target = truncate(regs.read(ra) + imm16, 32)
-                if enable_interrupts:
-                    msr.interrupt_enable = True
-                elif clear_break:
-                    msr.break_in_progress = False
-                return (target, True, None, False)
-            return exec_return
-
-        if handler == self._exec_load:
-            size = instruction.access_size
-            value_mask = mask(size * 8)
-
-            def exec_load():
-                address = truncate(
-                    regs.read(ra) + (imm16 if fmt_b else regs.read(rb)), 32)
-                value = self.load(address, size)
-                regs.write(rd, value & value_mask)
-                self.stats.loads += 1
-                return (0, False, address, False)
-            return exec_load
-
-        if handler == self._exec_store:
-            size = instruction.access_size
-            value_mask = mask(size * 8)
-
-            def exec_store():
-                address = truncate(
-                    regs.read(ra) + (imm16 if fmt_b else regs.read(rb)), 32)
-                self.store(address, regs.read(rd) & value_mask, size)
-                self.stats.stores += 1
-                if self._decoded:
-                    self.invalidate_code(address, size)
-                return (0, False, address, True)
-            return exec_store
-
-        # Rare instructions (shifts, special registers, idiv, imm) keep the
-        # generic handler; binding the instruction still removes the
-        # dispatch lookup from the hot loop.
-        def exec_generic():
-            return handler(instruction)
-        return exec_generic
 
     # ------------------------------------------------------------------ #
     # checkpoint / restore
@@ -881,7 +633,8 @@ class MicroBlazeCore(SimComponent):
                     "branches_taken", "interrupts_taken",
                     "instructions_intercepted", "interception_hits",
                     "cycles", "decoded_entries", "decoded_invalidations",
-                    "quantum_warps", "quantum_instructions")
+                    "quantum_warps", "quantum_instructions",
+                    "traces_compiled", "trace_runs")
 
     def capture_state(self) -> dict:
         """Plain-data snapshot of the full architectural + statistics state.
@@ -905,6 +658,7 @@ class MicroBlazeCore(SimComponent):
                       for name in self._STAT_FIELDS},
             "per_mnemonic": dict(stats.per_mnemonic),
             "per_function": dict(stats.per_function),
+            "trace_exits": dict(stats.trace_exits),
         }
 
     def restore_state(self, state: dict) -> None:
@@ -928,6 +682,7 @@ class MicroBlazeCore(SimComponent):
             setattr(stats, name, value)
         stats.per_mnemonic = Counter(state["per_mnemonic"])
         stats.per_function = Counter(state["per_function"])
+        stats.trace_exits = Counter(state["trace_exits"])
         # Any decoded entries compiled against the pre-restore state are
         # stale; drop them (they are rebuilt deterministically on demand).
         self.clear_decoded_cache()
@@ -952,8 +707,3 @@ class MicroBlazeCore(SimComponent):
 
 def _unconnected(*_args):
     raise ModelError("MicroBlazeCore memory interface is not connected")
-
-
-def word_field(word: int, high: int, low: int) -> int:
-    """Expose field extraction for wrapper-level peeking (test helper)."""
-    return get_field(word, high, low)

@@ -44,6 +44,12 @@ class ExecutionStatistics:
         self.quantum_warps = 0
         #: Instructions retired inside time quanta (subset of retired).
         self.quantum_instructions = 0
+        #: Hot paths compiled into traces, and trace executions.
+        self.traces_compiled = 0
+        self.trace_runs = 0
+        #: Why each trace execution ended, and why a trace too long for
+        #: the warp's remaining budget or bound was not run.
+        self.trace_exits: Counter[str] = Counter()
 
     # -- recording ---------------------------------------------------------
     def attach_symbols(self, symbols: SymbolTable) -> None:
@@ -61,14 +67,6 @@ class ExecutionStatistics:
             function = self.symbols.containing(pc)
             if function is not None:
                 self.per_function[function] += 1
-
-    def record_load(self) -> None:
-        """Record one data load."""
-        self.loads += 1
-
-    def record_store(self) -> None:
-        """Record one data store."""
-        self.stores += 1
 
     def record_interrupt(self) -> None:
         """Record one taken interrupt."""
@@ -139,6 +137,9 @@ class ExecutionStatistics:
         self.decoded_invalidations += other.decoded_invalidations
         self.quantum_warps += other.quantum_warps
         self.quantum_instructions += other.quantum_instructions
+        self.traces_compiled += other.traces_compiled
+        self.trace_runs += other.trace_runs
+        self.trace_exits.update(other.trace_exits)
         self.per_mnemonic.update(other.per_mnemonic)
         self.per_function.update(other.per_function)
 
@@ -159,6 +160,9 @@ class ExecutionStatistics:
             "decoded_invalidations": self.decoded_invalidations,
             "quantum_warps": self.quantum_warps,
             "quantum_instructions": self.quantum_instructions,
+            "traces_compiled": self.traces_compiled,
+            "trace_runs": self.trace_runs,
+            "trace_exits": dict(self.trace_exits),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

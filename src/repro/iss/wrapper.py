@@ -44,6 +44,8 @@ from ..peripherals.dispatcher import MemoryDispatcher
 from ..signals import Signal
 from .core import MicroBlazeCore
 from .interception import KernelFunctionInterceptor
+from . import trace as _trace
+from .trace import IE_SETTING_MNEMONICS, TraceRegion, compile_trace
 
 #: Cycles accounted for vectoring to the interrupt handler.
 INTERRUPT_ENTRY_CYCLES = 2
@@ -51,22 +53,10 @@ INTERRUPT_ENTRY_CYCLES = 2
 #: Cycle cost of a dispatcher-served access (hoisted for the warp loop).
 DISPATCHER_ACCESS_CYCLES = MemoryDispatcher.ACCESS_CYCLES
 
-#: Value masks per access size (hoisted for the warp loop).
-_SIZE_MASKS = {1: 0xFF, 2: 0xFFFF, 4: 0xFFFF_FFFF}
-
 #: Sentinel returned by the in-warp peripheral access helpers when the
 #: access only has to wait for the link's delivery horizon to advance:
 #: the warp flushes the current sub-burst and retries the instruction.
 _WARP_RETRY = object()
-
-#: Instructions that can set ``MSR.IE``: ``rtid`` unconditionally, ``mts``
-#: to rmsr and ``msrset`` with bit 1 (both guarded conservatively by
-#: mnemonic -- they are rare).  While a warp runs with the interrupt
-#: request still latched in the core, any of these ends the warp *before*
-#: executing, so re-enabling interrupts (and the re-taken entry that
-#: follows) replays on the exact per-cycle edge.  None of them is a
-#: fall-through handler, so the basic-block fast path never hides one.
-_IE_SETTING_MNEMONICS = frozenset(("rtid", "mts", "msrset"))
 
 #: CPU abstraction-level selectors (``ModelConfig.cpu_level``), mirroring
 #: the ``engine`` and ``bus_level`` seams.  ``"cycle"`` is the per-cycle
@@ -118,51 +108,6 @@ class QuantumContext:
         self.blocked = False
         #: The full set of detachable processes (filled by enable_quantum).
         self.known_processes: set = set()
-
-
-#: Upper bound on basic-block length; straight-line ALU runs longer than
-#: this are split (keeps per-block budget/horizon checks meaningful).
-_BLOCK_CAP = 64
-
-
-class _BasicBlock:
-    """A straight-line run of fall-through decoded entries.
-
-    Built lazily by the quantum fast path from the ``next_entry`` chain:
-    only entries that cannot branch, touch memory, read the PC or start an
-    IMM prefix participate, and the block is split before the halt address
-    and before any interception-hooked address.  Executing a block is a
-    plain loop over precompiled closures followed by one batched update of
-    the PC, the cycle cost and the statistics counters -- the final
-    architectural state and statistics are exactly what per-instruction
-    execution would have produced.
-    """
-
-    __slots__ = ("executes", "count", "cycles", "end_pc", "last_entry",
-                 "mnemonic_items", "function_items", "epoch", "inval_stamp",
-                 "halt")
-
-    def __init__(self, entries, epoch: int, inval_stamp: int,
-                 halt: int) -> None:
-        self.executes = tuple(entry.execute for entry in entries)
-        self.count = len(entries)
-        self.cycles = sum(entry.fetch_cycles for entry in entries)
-        last = entries[-1]
-        self.end_pc = last.pc + 4
-        self.last_entry = last
-        mnemonics: dict = {}
-        functions: dict = {}
-        for entry in entries:
-            mnemonic = entry.mnemonic
-            mnemonics[mnemonic] = mnemonics.get(mnemonic, 0) + 1
-            name = entry.function_name
-            if name is not None:
-                functions[name] = functions.get(name, 0) + 1
-        self.mnemonic_items = tuple(mnemonics.items())
-        self.function_items = tuple(functions.items())
-        self.epoch = epoch
-        self.inval_stamp = inval_stamp
-        self.halt = halt
 
 
 class MicroBlazeWrapper(Module, SimComponent):
@@ -496,7 +441,8 @@ class MicroBlazeWrapper(Module, SimComponent):
 
         Runs at a rising-edge activation, after ``_quantum_can_engage``
         approved the platform state.  Detaches every clock-driven process,
-        executes decoded instructions as straight-line Python while
+        executes hot paths as compiled traces (:mod:`repro.iss.trace`) and
+        everything else one decoded instruction at a time while
         accumulating the protocol-derived cycle cost, then charges the
         quantum in timed waits and reconciles the detached state so the
         next instruction starts on exactly the cycle the per-cycle path
@@ -588,43 +534,31 @@ class MicroBlazeWrapper(Module, SimComponent):
         hooked = None
         split_pcs = ()
         if interceptor is not None:
-            # Blocks split at every hooked address regardless of whether
+            # Traces end at every hooked address regardless of whether
             # interception is currently enabled: it can be toggled at run
-            # time and blocks outlive the toggle.
+            # time and traces outlive the toggle.
             split_pcs = interceptor._handlers
             if interceptor.enabled:
                 hooked = split_pcs
         epoch = self._route_epoch
         stats = core.stats
-        per_mnemonic = stats.per_mnemonic
-        per_function = stats.per_function
-        # Operand fields are 5 bits (always in range) and r0 writes are
-        # guarded below, so the list replaces the checked accessors.
-        reg_values = core.regs._regs
-        # Hoisted routing bounds and backing stores: neither moves during
-        # a warp, so the claims/serves checks reduce to two integer
-        # comparisons each and the accesses to bytearray slices.
-        bram = lmb.bram if lmb is not None else None
-        bram_lo = bram_end = 0
-        bram_data = None
-        bram_writable = False
-        if bram is not None:
-            bram_lo = bram.base_address
-            bram_end = bram_lo + bram.size
-            bram_data = bram._data
-            bram_writable = not bram.read_only
-        disp_main = None
-        main_lo = main_end = 0
-        main_data = None
-        main_writable = False
-        if dispatcher is not None and dispatcher.handle_main_memory:
-            disp_main = dispatcher.main_memory
-            if disp_main is not None:
-                main_lo = disp_main.base_address
-                main_end = main_lo + disp_main.size
-                main_data = disp_main._data
-                main_writable = not disp_main.read_only
-        # ---- straight-line execution ----------------------------------
+        decoded = core._decoded
+        hot = _trace.TRACE_HOT_COUNT
+        longest = _trace.TRACE_MAX_INSNS
+        # Memory a trace may access directly besides the fabric's DMI
+        # regions: the BRAM behind the LMB and the dispatcher-served main
+        # memory.  Neither moves during a warp.
+        bram_region = main_region = None
+        bram_lo = bram_end = main_lo = main_end = 0
+        if lmb is not None:
+            bram_region = TraceRegion(lmb.bram, lmb, "lmb", LMB_ACCESS_CYCLES)
+            bram_lo, bram_end = bram_region.lo, bram_region.end
+        if dispatcher is not None and dispatcher.handle_main_memory \
+                and dispatcher.main_memory is not None:
+            main_region = TraceRegion(dispatcher.main_memory, dispatcher,
+                                      "dispatcher", DISPATCHER_ACCESS_CYCLES)
+            main_lo, main_end = main_region.lo, main_region.end
+        # ---- execution ------------------------------------------------
         # ``cycles`` counts warp-relative charged cycles across sub-bursts,
         # ``charged`` how many of them have already been paid to the kernel
         # (at horizon flush points); the timeline invariant is
@@ -632,7 +566,6 @@ class MicroBlazeWrapper(Module, SimComponent):
         cycles = 0
         charged = 0
         executed = 0
-        prev = None
         while True:
             # Per-sub-burst bound: the nearest upcoming break point in
             # warp-relative cycles.  The link horizon only bounds the
@@ -652,24 +585,40 @@ class MicroBlazeWrapper(Module, SimComponent):
                         link_limited = True
             flush = False
             sub_start = cycles
+            # ``(head entry, records, PCs seen, invalidation stamp)`` while
+            # the path from a hot PC is being recorded.
+            recording = None
+            # Set once a trace did not fit: the rest of the sub-burst runs
+            # per instruction up to the bound or budget.
+            tail = False
+            # Why the warp ends in front of the current instruction, when
+            # no trace could hold it either.
+            refusal = None
             while executed < allowed:
                 pc = core.pc
+                boundary = core._branch_after_delay is None \
+                    and core._imm_prefix is None
+                if recording is not None and boundary:
+                    seen = recording[2]
+                    stop = ("loop" if pc == recording[0].pc
+                            else "join" if pc in seen
+                            else "halt" if pc == halt
+                            else "hooked" if pc in split_pcs
+                            else "length" if len(recording[1]) >= longest
+                            else None)
+                    if stop is None:
+                        seen.add(pc)
+                    else:
+                        self._install_trace(recording, pc, stop, epoch)
+                        recording = None
                 if pc == halt and core._branch_after_delay is None:
                     break
                 if hooked is not None and pc in hooked \
                         and interceptor.maybe_intercept(core) is not None:
-                    prev = None
                     pc = core.pc
                     if pc == halt and core._branch_after_delay is None:
                         break
-                entry = None
-                if prev is not None:
-                    chained = prev.next_entry
-                    if chained is not None and chained.valid \
-                            and chained.pc == pc:
-                        entry = chained
-                if entry is None:
-                    entry = core.decoded_entry(pc)
+                entry = decoded.get(pc)
                 if entry is not None and entry.fetch_epoch == epoch:
                     fetch_cycles = entry.fetch_cycles
                 else:
@@ -691,241 +640,148 @@ class MicroBlazeWrapper(Module, SimComponent):
                         entry = core.build_decoded(pc, word)
                     entry.fetch_cycles = fetch_cycles
                     entry.fetch_epoch = epoch
-                if prev is not None and prev.next_entry is not entry:
-                    prev.next_entry = entry
-                # ---- basic-block fast path --------------------------------
-                if entry.falls_through and core._imm_prefix is None \
-                        and core._branch_after_delay is None:
-                    block = entry.block
-                    if block is None or block.epoch != epoch \
-                            or block.inval_stamp != stats.decoded_invalidations \
-                            or block.halt != halt:
-                        block = self._build_block(core, entry, epoch, halt,
-                                                  split_pcs, stats)
-                    if block is not None \
-                            and executed + block.count <= allowed \
-                            and (bound is None
-                                 or cycles + block.cycles <= bound):
-                        for execute in block.executes:
-                            execute()
-                        core.pc = block.end_pc
-                        stats.instructions_retired += block.count
-                        for name, count in block.mnemonic_items:
-                            per_mnemonic[name] += count
-                        for name, count in block.function_items:
-                            per_function[name] += count
-                        cycles += block.cycles
-                        executed += block.count
-                        prev = block.last_entry
-                        continue
-                # ---- inlined load/store execution -------------------------
-                if (entry.is_load or entry.is_store) \
-                        and core._imm_prefix is None:
-                    # The whole data instruction in-line: the precompiled
-                    # address closure, a direct backing-store access and the
-                    # PC chain -- exactly the state changes exec_load /
-                    # exec_store plus execute_decoded would make, minus the
-                    # call layers.  Misalignment and unservable targets break
-                    # out so the per-cycle path replays the instruction with
-                    # its full diagnostics.
-                    address = entry.ea()
-                    size = entry.access_size
-                    if size > 1 and address % size:
-                        break
-                    if entry.is_load:
-                        if bram is not None and bram_lo <= address \
-                                and address + size <= bram_end:
-                            lmb.reads += 1
-                            bram.read_accesses += 1
-                            offset = address - bram_lo
-                            value = int.from_bytes(
-                                bram_data[offset:offset + size], "big")
-                            data_cycles = LMB_ACCESS_CYCLES
-                        elif disp_main is not None and main_lo <= address \
-                                and address + size <= main_end:
-                            dispatcher.data_accesses += 1
-                            disp_main.read_accesses += 1
-                            offset = address - main_lo
-                            value = int.from_bytes(
-                                main_data[offset:offset + size], "big")
-                            data_cycles = DISPATCHER_ACCESS_CYCLES
-                        else:
-                            served = transport.direct_read(DATA_MASTER,
-                                                           address, size)
-                            if served is None:
-                                served = self._warp_device_read(
-                                    ctx, uart_states, address, size,
-                                    cycles + fetch_cycles, bound,
-                                    link_limited, rx_horizon, warp_start,
-                                    period)
-                                if served is None:
-                                    break
-                                if served is _WARP_RETRY:
-                                    flush = True
-                                    break
-                            value, data_cycles = served
-                        step_cycles = fetch_cycles + data_cycles
-                        if bound is not None \
-                                and cycles + step_cycles > bound:
-                            flush = link_limited
-                            break
-                        rd = entry.rd
-                        if rd:
-                            reg_values[rd] = value & _SIZE_MASKS[size]
-                        stats.loads += 1
+                # ---- compiled traces --------------------------------------
+                if boundary and recording is None and not tail:
+                    trace = entry.trace
+                    if trace is not None and (
+                            trace.epoch != epoch
+                            or trace.stamp != stats.decoded_invalidations):
+                        trace = entry.trace = None
+                    if trace is None:
+                        entry.heat += 1
+                        if entry.heat >= hot:
+                            recording = (entry, [], {pc},
+                                         stats.decoded_invalidations)
+                    elif halt in trace.pcs:
+                        # The halt address moved onto the trace's path.
+                        stats.trace_exits["halt"] += 1
                     else:
-                        value = reg_values[entry.rd] & _SIZE_MASKS[size]
-                        if bram is not None and bram_lo <= address \
-                                and address + size <= bram_end:
-                            if not bram_writable:
-                                break
-                            lmb.writes += 1
-                            bram.write_accesses += 1
-                            offset = address - bram_lo
-                            bram_data[offset:offset + size] = value.to_bytes(
-                                size, "big")
-                            data_cycles = LMB_ACCESS_CYCLES
-                        elif disp_main is not None and main_lo <= address \
-                                and address + size <= main_end:
-                            if not main_writable:
-                                break
-                            dispatcher.data_accesses += 1
-                            disp_main.write_accesses += 1
-                            offset = address - main_lo
-                            main_data[offset:offset + size] = value.to_bytes(
-                                size, "big")
-                            data_cycles = DISPATCHER_ACCESS_CYCLES
-                        else:
-                            data_cycles = transport.direct_write(
-                                DATA_MASTER, address, value, size)
-                            if data_cycles is None:
-                                data_cycles = self._warp_device_write(
-                                    ctx, uart_states, address, value, size,
-                                    cycles + fetch_cycles, bound,
-                                    link_limited, rx_horizon, warp_start,
-                                    period)
-                                if data_cycles is None:
-                                    break
-                                if data_cycles is _WARP_RETRY:
-                                    flush = True
-                                    break
-                        step_cycles = fetch_cycles + data_cycles
+                        passes = (allowed - executed) // trace.length
+                        limit = "budget"
                         if bound is not None \
-                                and cycles + step_cycles > bound:
-                            # The store replays on the per-cycle path; DMI
-                            # stores are idempotent, so the replay is safe.
-                            flush = link_limited
-                            break
-                        stats.stores += 1
-                        if core._decoded:
-                            core.invalidate_code(address, size)
-                    target = core._branch_after_delay
-                    if target is not None:
-                        core.pc = target
-                        core._branch_after_delay = None
-                    else:
-                        core.pc = (pc + 4) & WORD_MASK
-                    stats.instructions_retired += 1
-                    per_mnemonic[entry.mnemonic] += 1
-                    if entry.function_name is not None:
-                        per_function[entry.function_name] += 1
-                    cycles += step_cycles
-                    executed += 1
-                    prev = entry
-                    if self._warp_post is not None:
-                        post = self._warp_post
-                        self._warp_post = None
-                        if post == "ack":
-                            guard_ie = False
-                        else:
-                            flush = True
-                            break
-                    continue
-                if guard_ie and entry.mnemonic in _IE_SETTING_MNEMONICS:
+                                and (bound - cycles) // trace.cycles < passes:
+                            passes = (bound - cycles) // trace.cycles
+                            limit = "bound"
+                        if passes > 0:
+                            core.pc, retired, spent, exit_id = trace.run(passes)
+                            executed += retired
+                            cycles += spent
+                            stats.trace_runs += 1
+                            stats.trace_exits[trace.reasons[exit_id]
+                                              or limit] += 1
+                            continue
+                        # Too long for what is left: finish per instruction.
+                        stats.trace_exits[limit] += 1
+                        tail = True
+                # ---- one instruction ---------------------------------------
+                if guard_ie and entry.mnemonic in IE_SETTING_MNEMONICS:
                     # Servicing an interrupt: end the warp before anything
                     # that could set MSR.IE, so the re-enable (and the
                     # re-taken interrupt entry behind it) replays on the
                     # exact per-cycle edge.
+                    refusal = "ie_guard"
                     break
-                # Pre-execute an IMM-prefixed data access, exactly like the
-                # per-cycle path (the preview honours the active prefix).
+                # The data access goes first, as on the per-cycle path; the
+                # core then executes with its load value in hand.
+                # Misaligned, read-only and unservable targets end the warp
+                # so the per-cycle path replays them with full diagnostics.
                 data_cycles = 0
-                if entry.is_load:
-                    address = core.preview_effective_address(entry.instruction)
+                region = None
+                if entry.is_load or entry.is_store:
+                    address = core._effective_address(entry.instruction)
                     size = entry.access_size
-                    if bram is not None and bram_lo <= address \
-                            and address + size <= bram_end:
-                        lmb.reads += 1
-                        value = bram.read(address, size)
-                        data_cycles = LMB_ACCESS_CYCLES
-                    elif disp_main is not None and main_lo <= address \
-                            and address + size <= main_end:
-                        dispatcher.data_accesses += 1
-                        value = disp_main.read(address, size)
-                        data_cycles = DISPATCHER_ACCESS_CYCLES
-                    else:
-                        served = transport.direct_read(DATA_MASTER, address, size)
+                    if size > 1 and address % size:
+                        refusal = "misaligned"
+                        break
+                    if bram_lo <= address and address + size <= bram_end:
+                        region = bram_region
+                    elif main_lo <= address and address + size <= main_end:
+                        region = main_region
+                    if region is not None:
+                        storage = region.storage
+                        if entry.is_load:
+                            self._load_value = storage.read(address, size)
+                        elif storage.read_only:
+                            refusal = "read_only"
+                            break
+                        else:
+                            storage.write(address, core.preview_store_value(
+                                entry.instruction), size)
+                        if region is main_region:
+                            dispatcher.data_accesses += 1
+                        elif entry.is_load:
+                            lmb.reads += 1
+                        else:
+                            lmb.writes += 1
+                        data_cycles = region.cycles
+                    elif entry.is_load:
+                        served = transport.direct_read(DATA_MASTER, address,
+                                                       size)
                         if served is None:
-                            break
-                        value, data_cycles = served
-                    self._load_value = value
-                elif entry.is_store:
-                    address = core.preview_effective_address(entry.instruction)
-                    size = entry.access_size
-                    value = core.preview_store_value(entry.instruction)
-                    if bram is not None and bram_lo <= address \
-                            and address + size <= bram_end:
-                        lmb.writes += 1
-                        bram.write(address, value, size)
-                        data_cycles = LMB_ACCESS_CYCLES
-                    elif disp_main is not None and main_lo <= address \
-                            and address + size <= main_end:
-                        dispatcher.data_accesses += 1
-                        disp_main.write(address, value, size)
-                        data_cycles = DISPATCHER_ACCESS_CYCLES
+                            refusal = "device"
+                            if core._imm_prefix is not None:
+                                break
+                            served = self._warp_device_read(
+                                ctx, uart_states, address, size,
+                                cycles + fetch_cycles, bound, link_limited,
+                                rx_horizon, warp_start, period)
+                            if served is None:
+                                break
+                            refusal = None
+                            if served is _WARP_RETRY:
+                                flush = True
+                                break
+                            region = "device"
+                        elif recording is not None:
+                            region = self._dmi_trace_region(
+                                address, served[1], False)
+                        self._load_value, data_cycles = served
                     else:
-                        data_cycles = transport.direct_write(DATA_MASTER, address,
-                                                             value, size)
+                        value = core.preview_store_value(entry.instruction)
+                        data_cycles = transport.direct_write(
+                            DATA_MASTER, address, value, size)
                         if data_cycles is None:
-                            break
+                            refusal = "device"
+                            if core._imm_prefix is not None:
+                                break
+                            data_cycles = self._warp_device_write(
+                                ctx, uart_states, address, value, size,
+                                cycles + fetch_cycles, bound, link_limited,
+                                rx_horizon, warp_start, period)
+                            if data_cycles is None:
+                                break
+                            refusal = None
+                            if data_cycles is _WARP_RETRY:
+                                flush = True
+                                break
+                            region = "device"
+                        elif recording is not None:
+                            region = self._dmi_trace_region(
+                                address, data_cycles, True)
                 step_cycles = fetch_cycles + data_cycles
-                if bound is not None \
-                        and cycles + step_cycles > bound:
+                if bound is not None and cycles + step_cycles > bound:
                     # Timer wrap / run window / link horizon ahead; flush
                     # (horizon) or let the per-cycle path carry execution
-                    # across the break point (everything else).
+                    # across the break point (everything else).  A served
+                    # DMI store replays there idempotently.
                     flush = link_limited
                     break
-                if core._imm_prefix is None:
-                    # Inlined execute_decoded for the prefix-free case: the
-                    # specialised closure plus the PC chain and stats, without
-                    # the extra frame.  An IMM entry sets the prefix inside
-                    # its closure, so there is nothing to clear here.
-                    outcome = entry.execute()
-                    target = outcome[0]
-                    took_branch = outcome[1]
-                    pending = core._branch_after_delay
-                    if pending is not None:
-                        core.pc = pending
-                        core._branch_after_delay = None
-                    elif took_branch and entry.delay_slot:
-                        core._branch_after_delay = target
-                        core.pc = (pc + 4) & WORD_MASK
-                    elif took_branch:
-                        core.pc = target
-                    else:
-                        core.pc = (pc + 4) & WORD_MASK
-                    stats.instructions_retired += 1
-                    per_mnemonic[entry.mnemonic] += 1
-                    if took_branch:
-                        stats.branches_taken += 1
-                    if entry.function_name is not None:
-                        per_function[entry.function_name] += 1
-                else:
-                    core.execute_decoded(entry)
+                took_branch = core.execute_decoded(entry)
                 cycles += step_cycles
                 executed += 1
-                prev = entry
+                if recording is not None:
+                    recording[1].append((entry, region, took_branch))
+                if self._warp_post is not None:
+                    post = self._warp_post
+                    self._warp_post = None
+                    if post == "ack":
+                        guard_ie = False
+                    else:
+                        flush = True
+                        break
+            if recording is not None and refusal is not None:
+                # The recorded path ends in front of what ended the warp.
+                self._install_trace(recording, core.pc, refusal, epoch)
             if not flush or cycles == sub_start:
                 # Budget, halt, an unservable access or a non-horizon bound
                 # ends the warp; so does a horizon flush that made no
@@ -1004,6 +860,42 @@ class MicroBlazeWrapper(Module, SimComponent):
         yield None
         self.decoupled_until_ps = None
         return True
+
+    # -- compiled traces -------------------------------------------------------
+    def _install_trace(self, recording, next_pc: int, stop: str,
+                       epoch: int) -> None:
+        """Compile the path recorded from its head and hang it there.
+
+        ``stop`` says why the recording ended at ``next_pc``.  A recording
+        during which a store dropped decoded code may hold stale entries:
+        it is discarded, and recorded afresh once the head is hot again.
+        One that translates to nothing (the head itself is a device
+        access, say) waits ``TRACE_RETRY_COUNT`` dispatches.
+        """
+        head, records, _seen, stamp = recording
+        stats = self.core.stats
+        if stats.decoded_invalidations != stamp:
+            head.heat = 0
+            return
+        trace = compile_trace(self.core, records, next_pc, stop,
+                              self.transport)
+        if trace is None:
+            head.heat = -_trace.TRACE_RETRY_COUNT
+            return
+        trace.epoch = epoch
+        trace.stamp = stamp
+        head.trace = trace
+        stats.traces_compiled += 1
+
+    def _dmi_trace_region(self, address: int, cycles: int, store: bool):
+        """The :class:`TraceRegion` of the DMI region that just served an
+        access at ``address`` (``"read_only"`` for a dropped store)."""
+        storage, slave = self.transport.dmi_region(address)
+        if store and storage.read_only:
+            return "read_only"
+        return TraceRegion(storage, self.transport, "dmi", cycles,
+                           max(storage.base_address, slave.base_address),
+                           min(storage.end_address, slave.end_address))
 
     # -- in-warp peripheral access -------------------------------------------
     def _warp_device_read(self, ctx, uart_states, address, size, base_cycles,
@@ -1229,39 +1121,6 @@ class MicroBlazeWrapper(Module, SimComponent):
             wake += sleep_ps
         record[4] = wake
         record[5] = True
-
-    def _build_block(self, core, first, epoch: int, halt: int, split_pcs,
-                     stats):
-        """Extend ``first`` into a basic block along its fall-through chain.
-
-        Returns the cached :class:`_BasicBlock`, or ``None`` when the
-        straight-line successor has not been decoded (or re-routed) yet --
-        the block then stays uncached so it can grow on a later pass once
-        per-instruction execution has filled the chain in.
-        """
-        entries = [first]
-        pc = first.pc + 4
-        cur = first
-        while len(entries) < _BLOCK_CAP:
-            nxt = cur.next_entry
-            if nxt is None or not nxt.valid or nxt.pc != pc:
-                nxt = core.decoded_entry(pc)
-                if nxt is None:
-                    return None
-                cur.next_entry = nxt
-            if not nxt.falls_through or pc == halt or pc in split_pcs:
-                break
-            if nxt.fetch_epoch != epoch:
-                # Successor timing not re-routed yet; it will be after the
-                # per-instruction pass that follows, so retry then.
-                return None
-            entries.append(nxt)
-            pc += 4
-            cur = nxt
-        block = _BasicBlock(entries, epoch, stats.decoded_invalidations,
-                            halt)
-        first.block = block
-        return block
 
     # -- routed accesses ---------------------------------------------------------------
     def _fetch(self, address: int):

@@ -9,10 +9,12 @@ state and exact cycle counts, on both kernel engines and every bus fabric.
 
 Plus the seams the tentpole rides on: decoded-instruction-cache
 invalidation under self-modifying code (store-driven, on the functional
-ISS and on the platform fast path), and quantum-boundary semantics --
+ISS and on the platform fast path), quantum-boundary semantics --
 interrupts arriving mid-quantum, the halt address inside a quantum,
 instruction budgets not divisible by the quantum size, and route changes
-between quanta.
+between quanta -- and the compiled traces hot loops run as: a store into
+a running trace's own code and every way a trace hands over to the
+per-instruction path, each checked through the trace-exit counters.
 """
 
 import dataclasses
@@ -24,11 +26,14 @@ from repro.isa.assembler import assemble
 from repro.iss import CPU_CYCLE, CPU_QUANTUM, cpu_levels
 from repro.iss.functional import FunctionalMicroBlaze
 from repro.kernel import ENGINE_CLOCKED, ENGINE_GENERIC
+from repro.kernel.errors import AlignmentError
 from repro.platform import (VanillaNetPlatform, VariantName,
                             all_systemc_variants, memory_map as mm,
                             variant_config)
 from repro.software import (BootParams, build_boot_program,
                             interrupt_program, memory_exercise_program)
+from repro.software.clib import clib_source
+from repro.software.programs import BRAM_STACK_TOP, interrupt_source
 
 SMALL_BOOT = BootParams(bss_bytes=32, kernel_copy_bytes=48,
                         page_clear_bytes=16, page_clear_count=1,
@@ -50,17 +55,27 @@ def boot_platform(variant: VariantName, cpu_level: str,
     return platform
 
 
-def run_to_halt(platform: VanillaNetPlatform) -> dict:
-    finished = platform.run_until_halt(max_cycles=900_000,
-                                       chunk_cycles=2_000)
+def observe(platform: VanillaNetPlatform) -> dict:
+    """Everything a CPU level must not change, statistics included."""
+    stats = platform.statistics
     return {
-        "finished": finished,
-        "instructions": platform.statistics.instructions_retired,
-        "cycles": platform.statistics.cycles,
+        "instructions": stats.instructions_retired,
+        "cycles": stats.cycles,
         "sim_cycles": platform.cycle_count,
         "console": platform.console_output,
         "registers": platform.architectural_state(),
+        "loads": stats.loads,
+        "stores": stats.stores,
+        "branches_taken": stats.branches_taken,
+        "per_mnemonic": dict(stats.per_mnemonic),
+        "per_function": dict(stats.per_function),
     }
+
+
+def run_to_halt(platform: VanillaNetPlatform) -> dict:
+    finished = platform.run_until_halt(max_cycles=900_000,
+                                       chunk_cycles=2_000)
+    return {"finished": finished, **observe(platform)}
 
 
 class TestCpuLevelConfig:
@@ -342,3 +357,222 @@ class TestQuantumBoundarySemantics:
                 "sim_cycles": platform.cycle_count,
             }
         assert results[CPU_CYCLE] == results[CPU_QUANTUM]
+
+
+# ---------------------------------------------------------------------- #
+# compiled traces: stores into their own code and every side exit
+# ---------------------------------------------------------------------- #
+def hot_loop_program(body: str, passes: int = 40, setup: str = "",
+                     data: str = "", handler: str = ""):
+    """``body`` run ``passes`` times in a counted BRAM loop (r22)."""
+    return assemble(f"""
+_start:
+    li      r1, {BRAM_STACK_TOP:#x}
+{setup}
+    addik   r22, r0, {passes}
+hot_loop:
+{body}
+    addik   r22, r22, -1
+    bnei    r22, hot_loop
+    bri     _halt
+_halt:
+    bri     _halt
+{handler}
+    .align 4
+{data}
+""", origin=mm.BRAM_BASE)
+
+
+def run_both_levels(program, drive=run_to_halt,
+                    variant=VariantName.SUPPRESS_MAIN_MEMORY):
+    """Drive ``program`` at both CPU levels, require identical
+    observations, and return the quantum level's statistics."""
+    results = {}
+    for level in cpu_levels():
+        platform = VanillaNetPlatform(variant_config(
+            variant, engine=ENGINE_CLOCKED, bus_level=BUS_FUNCTIONAL,
+            cpu_level=level))
+        platform.load_program(program)
+        results[level] = drive(platform)
+    assert results[CPU_CYCLE] == results[CPU_QUANTUM]
+    stats = platform.statistics
+    assert stats.traces_compiled > 0 and stats.trace_runs > 0
+    return stats
+
+
+class TestCompiledTraces:
+    """Hot loops run as compiled traces; each hand-over to the
+    per-instruction path leaves exactly the per-cycle state."""
+
+    def test_store_into_running_trace(self):
+        # Pass 30 of 40 stores over the loop's first instruction (+1
+        # becomes +100) from inside the running trace: r3 = 30 + 10 * 100.
+        patched = assemble("addik r3, r3, 100").words()[0][1]
+        targets = ", ".join(["spare"] * 29 + ["patch"] + ["spare"] * 10)
+        program = assemble(f"""
+_start:
+    li      r1, {BRAM_STACK_TOP:#x}
+    li      r21, {patched:#x}
+    li      r24, targets
+    addik   r3, r0, 0
+    addik   r22, r0, 40
+hot_loop:
+patch:
+    addik   r3, r3, 1
+    lwi     r23, r24, 0         # this pass's store target
+    swi     r21, r23, 0
+    addik   r24, r24, 4
+    addik   r22, r22, -1
+    bnei    r22, hot_loop
+    bri     _halt
+_halt:
+    bri     _halt
+    .align 4
+spare:
+    .word 0
+targets:
+    .word {targets}
+""", origin=mm.BRAM_BASE)
+        stats = run_both_levels(program)
+        assert stats.trace_exits["smc"] == 1
+        assert stats.decoded_invalidations > 0
+        platform = VanillaNetPlatform(variant_config(
+            VariantName.SUPPRESS_MAIN_MEMORY, bus_level=BUS_FUNCTIONAL,
+            cpu_level=CPU_QUANTUM))
+        platform.load_program(program)
+        platform.run_until_halt(max_cycles=100_000)
+        assert platform.architectural_state()["r3"] == 1030
+
+    def test_instruction_budget(self):
+        program = hot_loop_program("""
+    addik   r3, r3, 7
+    xor     r4, r4, r3
+    swi     r4, r1, 0""", passes=400)
+
+        def drive(platform):
+            observed = []
+            for budget in (777, 1, 1023, 42, 5, 300):
+                platform.run_instructions(budget, chunk_cycles=2_000)
+                observed.append(observe(platform))
+            return observed
+
+        assert run_both_levels(program, drive).trace_exits["budget"] > 0
+
+    def test_run_window_bound(self):
+        program = hot_loop_program("""
+    addik   r3, r3, 7
+    lwi     r4, r1, 0
+    add     r4, r4, r3
+    swi     r4, r1, 0""", passes=300)
+
+        def drive(platform):
+            observed = []
+            while not platform.microblaze.finished:
+                for window in (37, 101, 13, 250):
+                    platform.run_cycles(window)
+                    observed.append(observe(platform))
+            return observed
+
+        assert run_both_levels(program, drive).trace_exits["bound"] > 0
+
+    def test_timer_wrap_bound(self):
+        # One long run window: the timer's wrap is what bounds the warps
+        # around the tick wait loop.
+        def drive(platform):
+            finished = platform.run_until_halt(max_cycles=400_000,
+                                               chunk_cycles=100_000)
+            return {"finished": finished,
+                    "interrupts": platform.statistics.interrupts_taken,
+                    **observe(platform)}
+
+        stats = run_both_levels(interrupt_program(ticks=8, timer_period=300),
+                                drive)
+        assert stats.interrupts_taken == 8
+        assert stats.trace_exits["bound"] > 0
+
+    def test_halt_moved_onto_trace(self):
+        program = hot_loop_program("""
+    addik   r3, r3, 1
+    addik   r4, r3, 5
+    xor     r5, r5, r4""", passes=400)
+        head = program.symbols.get("hot_loop")
+
+        def drive(platform):
+            # Stop on the loop head (3 prologue + 20 passes of 5), then
+            # move the halt address into the compiled loop.
+            platform.run_instructions(3 + 20 * 5)
+            platform.microblaze.set_halt_address(head + 8)
+            return run_to_halt(platform)
+
+        assert run_both_levels(program, drive).trace_exits["halt"] >= 1
+
+    def test_hooked_pc_with_interception_toggled(self):
+        program = hot_loop_program("""
+    li      r5, buffer
+    addik   r6, r22, 0
+    addik   r7, r0, 12
+    brlid   r15, memset
+    nop""", passes=60, data="buffer:\n    .space 16", handler=clib_source())
+
+        def drive(platform):
+            platform.set_kernel_function_capture(False)
+            platform.run_cycles(3_000)
+            platform.set_kernel_function_capture(True)
+            finished = platform.run_until_halt(max_cycles=200_000)
+            return {"finished": finished,
+                    "intercepted":
+                        platform.statistics.instructions_intercepted,
+                    **observe(platform)}
+
+        stats = run_both_levels(program, drive,
+                                VariantName.KERNEL_FUNCTION_CAPTURE)
+        assert stats.instructions_intercepted > 0
+        assert stats.trace_exits["hooked"] > 0
+
+    def test_ie_guard_during_interrupt_service(self):
+        # The handler writes EAR with ``mts`` (an IE-setting mnemonic)
+        # before acknowledging: the trace from its entry ends there while
+        # the interrupt is latched.
+        source = interrupt_source(ticks=24, timer_period=300).replace(
+            "irq_handler:\n", "irq_handler:\n    addik   r9, r14, 4\n"
+            "    mts     rear, r9\n")
+
+        def drive(platform):
+            finished = platform.run_until_halt(max_cycles=400_000,
+                                               chunk_cycles=100_000)
+            return {"finished": finished, **observe(platform)}
+
+        stats = run_both_levels(assemble(source, origin=mm.BRAM_BASE), drive)
+        assert stats.trace_exits["ie_guard"] > 0
+
+    def test_misaligned_access(self):
+        # Pass 25 loads through an odd address: both levels stop on the
+        # same instruction with the same alignment error.
+        pointers = ", ".join(["value"] * 24 + ["value + 1"] + ["value"] * 5)
+        program = hot_loop_program("""
+    lwi     r23, r24, 0
+    lwi     r3, r23, 0
+    addik   r24, r24, 4""", passes=30, setup="    li      r24, pointers",
+            data=f"value:\n    .word 7\npointers:\n    .word {pointers}")
+
+        def drive(platform):
+            with pytest.raises(AlignmentError):
+                platform.run_until_halt(max_cycles=100_000)
+            return observe(platform)
+
+        assert run_both_levels(program, drive).trace_exits["misaligned"] == 1
+
+    def test_read_only_flash_target(self):
+        program = hot_loop_program("""
+    addik   r3, r3, 3
+    swi     r3, r20, 0
+    lwi     r4, r20, 0""", setup=f"    li      r20, {mm.FLASH_BASE:#x}")
+        stats = run_both_levels(program, variant=VariantName.NATIVE_TYPES)
+        assert stats.trace_exits["read_only"] > 0
+
+    def test_device_register(self):
+        program = hot_loop_program("""
+    addik   r3, r3, 1
+    lwi     r4, r20, 8          # console UART status
+    or      r5, r5, r4""", setup=f"    li      r20, {mm.CONSOLE_UART_BASE:#x}")
+        assert run_both_levels(program).trace_exits["device"] > 0

@@ -11,8 +11,10 @@ the claim honest against programs nobody wrote:
 
 * a fixed two-node ping/echo run, the acceptance gate for the cluster
   tentpole (frame traffic + RX interrupts through every seam combo);
-* hypothesis-generated straight-line instruction streams on a single
-  node;
+* hypothesis-generated instruction streams on a single node: a counted
+  loop around ALU, memory and 32-bit ``li`` instructions with forward
+  conditional skips, run with every path compiled into a trace the
+  first time it runs at the quantum level;
 * hypothesis-generated frame traffic (payload shapes x ping counts x
   link latencies, including back-to-back bursts inside one latency
   window) on a two-node cluster;
@@ -34,11 +36,12 @@ gate, not a soak) and raised in the dedicated CI fuzz job through
 
 import os
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.bus import bus_levels
 from repro.datatypes import WORD_MASK
-from repro.iss import cpu_levels
+from repro.iss import cpu_levels, trace
 from repro.kernel import ENGINE_CLOCKED, ENGINE_GENERIC
 from repro.isa.assembler import assemble
 from repro.platform import (VanillaNetCluster, VanillaNetPlatform,
@@ -69,14 +72,26 @@ def combo_id(combo) -> str:
     return "/".join(combo)
 
 
+def observe_statistics(stats) -> dict:
+    """The ISS statistics a trace batches at its exits."""
+    return {
+        "instructions": stats.instructions_retired,
+        "cycles": stats.cycles,
+        "loads": stats.loads,
+        "stores": stats.stores,
+        "branches_taken": stats.branches_taken,
+        "per_mnemonic": dict(stats.per_mnemonic),
+        "per_function": dict(stats.per_function),
+    }
+
+
 def observe_platform(platform) -> dict:
     """Everything the identity claim quantifies over, single node."""
     return {
         "registers": platform.architectural_state(),
         "console": platform.console_output,
-        "instructions": platform.statistics.instructions_retired,
-        "cycles": platform.statistics.cycles,
         "sim_cycles": platform.cycle_count,
+        **observe_statistics(platform.statistics),
     }
 
 
@@ -87,6 +102,8 @@ def observe_cluster(cluster) -> dict:
         "sim_cycles": cluster.cycle_count,
         "frames_switched": cluster.link.frames_switched,
         "frames_delivered": cluster.link.frames_delivered,
+        "statistics": [observe_statistics(node.statistics)
+                       for node in cluster.nodes],
     }
 
 
@@ -120,11 +137,12 @@ class TestClusterSeamIdentity:
 
 
 # ---------------------------------------------------------------------- #
-# fuzzed straight-line instruction streams, single node
+# fuzzed looping instruction streams, single node
 # ---------------------------------------------------------------------- #
 #: General registers the generated stream may touch.  r0 is the zero
 #: register, r1 the stack, r13 the scratch base, r14/r15 link registers,
-#: r20-r23 are clib-clobbered -- the stream works in r2..r12.
+#: r19 the loop counter, r20-r23 are clib-clobbered -- the stream works in
+#: r2..r12.
 STREAM_REGS = tuple(range(2, 13))
 
 _reg = st.sampled_from(STREAM_REGS)
@@ -158,32 +176,74 @@ _memory = st.tuples(
     st.sampled_from(["swi", "lwi"]), _reg, _offset,
 ).map(lambda t: f"{t[0]:<7} r{t[1]}, r13, {t[2]}")
 
-_instruction = st.one_of(_three_reg, _reg_imm, _shift_imm, _extend, _memory)
+#: One word each: what may sit in a branch's delay slot.
+_single = st.one_of(_three_reg, _reg_imm, _shift_imm, _extend, _memory)
+
+#: ``li`` with a full 32-bit immediate: an ``imm``/``addik`` pair.
+_load_immediate = st.tuples(
+    _reg, st.integers(min_value=0, max_value=WORD_MASK),
+).map(lambda t: f"li      r{t[0]}, {t[1]:#x}")
+
+_instruction = st.one_of(_single, _load_immediate)
+
+#: A forward conditional skip over a few instructions, with or without
+#: a delay slot: ``(condition, register, delay-slot word or None, body)``.
+_skip = st.tuples(
+    st.sampled_from(["beqi", "bnei", "blti"]), _reg,
+    st.one_of(st.none(), _single),
+    st.lists(_instruction, min_size=1, max_size=4),
+)
 
 #: One register seed per stream register (loaded before the stream runs).
 _seeds = st.lists(_imm16, min_size=len(STREAM_REGS),
                   max_size=len(STREAM_REGS))
 
-_stream = st.lists(_instruction, min_size=1, max_size=40)
+_stream = st.lists(st.one_of(_instruction, _skip), min_size=1, max_size=24)
+
+#: Passes of the generated loop.
+_passes = st.integers(min_value=1, max_value=6)
 
 
-def stream_program(seeds, stream):
-    """Assemble a straight-line stream into a bootable BRAM image.
+def stream_lines(stream) -> list:
+    """Source lines of a stream; skips become forward branches."""
+    lines = []
+    for number, item in enumerate(stream):
+        if isinstance(item, str):
+            lines.append(item)
+            continue
+        condition, register, delay, body = item
+        if delay is None:
+            lines.append(f"{condition:<7} r{register}, skip_{number}")
+        else:
+            lines.append(f"{condition + 'd':<7} r{register}, skip_{number}")
+            lines.append(delay)
+        lines.extend(body)
+        lines.append(f"skip_{number}:")
+    return lines
 
-    The epilogue routes one stream-derived byte through the console UART
-    so the fuzz also differentiates the interrupt-driven print path, and
-    then halts -- no branches inside the generated window.
+
+def stream_program(seeds, stream, passes=1):
+    """Assemble a looping stream into a bootable BRAM image.
+
+    The stream runs ``passes`` times in a counted loop.  The epilogue
+    routes one stream-derived byte through the console UART so the fuzz
+    also differentiates the interrupt-driven print path, and then halts.
     """
     seed_lines = "\n".join(
         f"    addik   r{reg}, r0, {value}"
         for reg, value in zip(STREAM_REGS, seeds))
-    body = "\n".join(f"    {line}" for line in stream)
+    body = "\n".join(line if line.endswith(":") else f"    {line}"
+                     for line in stream_lines(stream))
     source = f"""
 _start:
     li      r1, {BRAM_STACK_TOP:#x}
     li      r13, scratch
 {seed_lines}
+    addik   r19, r0, {passes}
+stream_loop:
 {body}
+    addik   r19, r19, -1
+    bnei    r19, stream_loop
     andi    r5, r3, 0x3F
     addik   r5, r5, 0x20        # printable ASCII
     brlid   r15, putchar
@@ -201,19 +261,23 @@ scratch:
 
 class TestInstructionStreamFuzz:
     @FUZZ_SETTINGS
-    @given(seeds=_seeds, stream=_stream)
-    def test_streams_identical_on_every_combo(self, seeds, stream):
-        program = stream_program(seeds, stream)
+    @given(seeds=_seeds, stream=_stream, passes=_passes)
+    def test_streams_identical_on_every_combo(self, seeds, stream, passes):
+        program = stream_program(seeds, stream, passes)
         results = {}
-        for engine, bus_level, cpu_level in COMBOS:
-            platform = VanillaNetPlatform(variant_config(
-                VariantName.NATIVE_TYPES, engine=engine,
-                bus_level=bus_level, cpu_level=cpu_level))
-            platform.load_program(program)
-            finished = platform.run_until_halt(max_cycles=50_000,
-                                               chunk_cycles=1_000)
-            assert finished, combo_id((engine, bus_level, cpu_level))
-            results[engine, bus_level, cpu_level] = observe_platform(platform)
+        with pytest.MonkeyPatch.context() as patch:
+            # Every path compiles into a trace the first time it runs.
+            patch.setattr(trace, "TRACE_HOT_COUNT", 1)
+            for engine, bus_level, cpu_level in COMBOS:
+                platform = VanillaNetPlatform(variant_config(
+                    VariantName.NATIVE_TYPES, engine=engine,
+                    bus_level=bus_level, cpu_level=cpu_level))
+                platform.load_program(program)
+                finished = platform.run_until_halt(max_cycles=50_000,
+                                                   chunk_cycles=1_000)
+                assert finished, combo_id((engine, bus_level, cpu_level))
+                results[engine, bus_level, cpu_level] = \
+                    observe_platform(platform)
         assert_identical(results)
 
 

@@ -393,6 +393,20 @@ class TestBulkHandlersMatchByteLoops:
     def test_memcpy_corners(self, dest, src, length, decoded_pcs):
         self._check_memcpy(dest, src, length, decoded_pcs)
 
+    @pytest.mark.parametrize("handler, byte_loop, arg", [
+        (memset_handler, _byte_loop_memset, 0x5A),
+        (memcpy_handler, _byte_loop_memcpy, 0x100),
+    ])
+    def test_cache_smaller_than_range(self, handler, byte_loop, arg):
+        """64 written words against 4 cached entries: the walk over the
+        cache's keys drops what the byte loop drops, and no more."""
+        decoded_pcs = {0x000, 0x044, 0x0FC, 0x100}
+        bulk = _run_on_bulk_layout(handler, 0x000, arg, 0x100, decoded_pcs)
+        assert bulk == _run_on_bulk_layout(byte_loop, 0x000, arg, 0x100,
+                                           decoded_pcs)
+        assert bulk["invalidations"] == 3
+        assert bulk["decoded"] == [0x100]
+
     @staticmethod
     def _check_memcpy(dest, src, length, decoded_pcs):
         assert _run_on_bulk_layout(memcpy_handler, dest, src, length,
