@@ -32,11 +32,9 @@ _TYPE_B = enc.Format.TYPE_B
 
 #: ``(use_carry, keep_carry)`` of each add/rsub mnemonic: a ``c`` after
 #: the stem adds the carry in, a ``k`` keeps the carry flag unchanged.
-CARRY_FLAGS = {}
-for _stem in ("add", "rsub"):
-    for _flags in ("", "c", "k", "kc"):
-        for _name in (_stem + _flags, _stem + "i" + _flags):
-            CARRY_FLAGS[_name] = ("c" in _flags, "k" in _flags)
+CARRY_FLAGS = {stem + immediate + flags: ("c" in flags, "k" in flags)
+               for stem in ("add", "rsub") for immediate in ("", "i")
+               for flags in ("", "c", "k", "kc")}
 
 #: The operation of each logic mnemonic.
 LOGIC_OPS = {"or": "or", "ori": "or", "and": "and", "andi": "and",
@@ -268,7 +266,6 @@ class MicroBlazeCore(SimComponent):
     def _operand_b(self, instruction: Instruction) -> int:
         if instruction.fmt is _TYPE_B:
             return self._imm32(instruction)
-        # Operand fields are 5 bits: always a valid register index.
         return self.regs._regs[instruction.rb]
 
     # ------------------------------------------------------------------ #

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 import struct
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..bus.opb import DATA_MASTER
 from ..datatypes import WORD_MASK, sign_extend
@@ -43,12 +43,9 @@ TRACE_MAX_INSNS = 64
 TRACE_RETRY_COUNT = 1024
 
 #: Instructions that can set ``MSR.IE``: ``rtid`` unconditionally, ``mts``
-#: to rmsr and ``msrset`` with bit 1 (both guarded conservatively by
-#: mnemonic -- they are rare).  While a warp runs with the interrupt
-#: request still latched in the core, any of these ends the warp *before*
-#: executing, so re-enabling interrupts (and the re-taken interrupt entry
-#: behind it) replays on the exact per-cycle edge.  No trace holds one:
-#: traces end in front of them (exit reason ``"ie_guard"``).
+#: to rmsr and ``msrset`` with bit 1 (guarded by mnemonic; they are rare).
+#: While an interrupt request is latched, the warp ends in front of them;
+#: no trace holds one (it exits there, reason ``"ie_guard"``).
 IE_SETTING_MNEMONICS = frozenset(("rtid", "mts", "msrset"))
 
 _WORD = struct.Struct(">I")
@@ -62,37 +59,29 @@ _WRITTEN = re.compile(r"^r(\d+) = ")
 _CARRY = re.compile(r"\bc\b")
 
 
-class TraceRegion:
-    """A memory region a trace may access directly.
+class TraceRegion(NamedTuple):
+    """A memory region ``[lo, end)`` a trace may access directly.
 
     ``kind`` names who counts an access besides the backing store:
     ``"lmb"`` (reads/writes), ``"dispatcher"`` (data accesses) or
     ``"dmi"`` (the fabric's direct-access bookkeeping).
     """
 
-    __slots__ = ("storage", "owner", "kind", "cycles", "lo", "end")
-
-    def __init__(self, storage, owner, kind: str, cycles: int,
-                 lo: Optional[int] = None, end: Optional[int] = None) -> None:
-        self.storage = storage
-        self.owner = owner
-        self.kind = kind
-        self.cycles = cycles
-        self.lo = storage.base_address if lo is None else lo
-        self.end = storage.end_address if end is None else end
+    storage: object
+    owner: object
+    kind: str
+    cycles: int
+    lo: int
+    end: int
 
 
 class Trace:
-    """A compiled trace.
-
-    ``run(passes)`` executes it and returns ``(next_pc, retired, cycles,
-    exit)``.  A looping trace runs at most ``passes`` passes of ``length``
-    instructions and ``cycles`` cycles each; any other trace runs its path
-    once, at most ``length`` instructions and ``cycles`` cycles.
-    ``reasons[exit]`` says why it ended (None: a loop ran every pass it was
-    allowed).  ``pcs`` holds the PCs a halt address would stop it at;
-    ``epoch`` and ``stamp`` are the route epoch and the
-    decoded-invalidation count it was compiled under.
+    """A compiled trace: ``run(passes)`` returns ``(next_pc, retired,
+    cycles, exit)``, having run at most ``passes`` passes of ``length``
+    instructions and ``cycles`` cycles (a path that does not loop runs
+    once).  ``reasons[exit]`` says why it ended (None: it ran every pass),
+    ``pcs`` are the PCs a halt address stops at, and ``epoch``/``stamp``
+    the route epoch and decoded-invalidation count it was compiled under.
     """
 
     __slots__ = ("run", "length", "cycles", "reasons", "pcs", "epoch",

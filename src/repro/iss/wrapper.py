@@ -551,13 +551,17 @@ class MicroBlazeWrapper(Module, SimComponent):
         bram_region = main_region = None
         bram_lo = bram_end = main_lo = main_end = 0
         if lmb is not None:
-            bram_region = TraceRegion(lmb.bram, lmb, "lmb", LMB_ACCESS_CYCLES)
-            bram_lo, bram_end = bram_region.lo, bram_region.end
-        if dispatcher is not None and dispatcher.handle_main_memory \
-                and dispatcher.main_memory is not None:
-            main_region = TraceRegion(dispatcher.main_memory, dispatcher,
-                                      "dispatcher", DISPATCHER_ACCESS_CYCLES)
-            main_lo, main_end = main_region.lo, main_region.end
+            bram = lmb.bram
+            bram_lo, bram_end = bram.base_address, bram.end_address
+            bram_region = TraceRegion(bram, lmb, "lmb", LMB_ACCESS_CYCLES,
+                                      bram_lo, bram_end)
+        main = dispatcher.main_memory if dispatcher is not None \
+            and dispatcher.handle_main_memory else None
+        if main is not None:
+            main_lo, main_end = main.base_address, main.end_address
+            main_region = TraceRegion(main, dispatcher, "dispatcher",
+                                      DISPATCHER_ACCESS_CYCLES,
+                                      main_lo, main_end)
         # ---- execution ------------------------------------------------
         # ``cycles`` counts warp-relative charged cycles across sub-bursts,
         # ``charged`` how many of them have already been paid to the kernel
@@ -681,8 +685,7 @@ class MicroBlazeWrapper(Module, SimComponent):
                     # exact per-cycle edge.
                     refusal = "ie_guard"
                     break
-                # The data access goes first, as on the per-cycle path; the
-                # core then executes with its load value in hand.
+                # The data access goes first, as on the per-cycle path.
                 # Misaligned, read-only and unservable targets end the warp
                 # so the per-cycle path replays them with full diagnostics.
                 data_cycles = 0
@@ -718,46 +721,41 @@ class MicroBlazeWrapper(Module, SimComponent):
                         served = transport.direct_read(DATA_MASTER, address,
                                                        size)
                         if served is None:
-                            refusal = "device"
-                            if core._imm_prefix is not None:
-                                break
-                            served = self._warp_device_read(
-                                ctx, uart_states, address, size,
-                                cycles + fetch_cycles, bound, link_limited,
-                                rx_horizon, warp_start, period)
+                            if core._imm_prefix is None:
+                                served = self._warp_device_read(
+                                    ctx, uart_states, address, size,
+                                    cycles + fetch_cycles, bound,
+                                    link_limited, rx_horizon, warp_start,
+                                    period)
                             if served is None:
+                                refusal = "device"
                                 break
-                            refusal = None
                             if served is _WARP_RETRY:
                                 flush = True
                                 break
                             region = "device"
-                        elif recording is not None:
-                            region = self._dmi_trace_region(
-                                address, served[1], False)
                         self._load_value, data_cycles = served
                     else:
                         value = core.preview_store_value(entry.instruction)
                         data_cycles = transport.direct_write(
                             DATA_MASTER, address, value, size)
                         if data_cycles is None:
-                            refusal = "device"
-                            if core._imm_prefix is not None:
-                                break
-                            data_cycles = self._warp_device_write(
-                                ctx, uart_states, address, value, size,
-                                cycles + fetch_cycles, bound, link_limited,
-                                rx_horizon, warp_start, period)
+                            if core._imm_prefix is None:
+                                data_cycles = self._warp_device_write(
+                                    ctx, uart_states, address, value, size,
+                                    cycles + fetch_cycles, bound,
+                                    link_limited, rx_horizon, warp_start,
+                                    period)
                             if data_cycles is None:
+                                refusal = "device"
                                 break
-                            refusal = None
                             if data_cycles is _WARP_RETRY:
                                 flush = True
                                 break
                             region = "device"
-                        elif recording is not None:
-                            region = self._dmi_trace_region(
-                                address, data_cycles, True)
+                    if region is None and recording is not None:
+                        region = self._dmi_trace_region(
+                            address, data_cycles, entry.is_store)
                 step_cycles = fetch_cycles + data_cycles
                 if bound is not None and cycles + step_cycles > bound:
                     # Timer wrap / run window / link horizon ahead; flush
@@ -867,10 +865,9 @@ class MicroBlazeWrapper(Module, SimComponent):
         """Compile the path recorded from its head and hang it there.
 
         ``stop`` says why the recording ended at ``next_pc``.  A recording
-        during which a store dropped decoded code may hold stale entries:
-        it is discarded, and recorded afresh once the head is hot again.
-        One that translates to nothing (the head itself is a device
-        access, say) waits ``TRACE_RETRY_COUNT`` dispatches.
+        during which a store dropped decoded code may hold stale entries
+        and is recorded afresh; one that translates to nothing (a device
+        access at its head, say) waits ``TRACE_RETRY_COUNT`` dispatches.
         """
         head, records, _seen, stamp = recording
         stats = self.core.stats
