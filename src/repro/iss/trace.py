@@ -64,7 +64,7 @@ class TraceRegion(NamedTuple):
 
     ``kind`` names who counts an access besides the backing store:
     ``"lmb"`` (reads/writes), ``"dispatcher"`` (data accesses) or
-    ``"dmi"`` (the fabric's direct-access bookkeeping).
+    ``"dmi"`` (the ``owner`` fabric's direct-access bookkeeping).
     """
 
     storage: object
@@ -155,10 +155,10 @@ def _refusal(entry) -> str:
 class _Source:
     """Accumulates one trace's source lines, exit rows and counters."""
 
-    def __init__(self, core, fabric) -> None:
+    def __init__(self, core) -> None:
         self.lines: list[str] = []
         self.ns = {"R": core.regs._regs, "msr": core.msr, "st": core.stats,
-                   "dec": core._decoded, "fabric": fabric,
+                   "dec": core._decoded,
                    "U4": _WORD.unpack_from, "P4": _WORD.pack_into,
                    "U2": _HALF.unpack_from, "P2": _HALF.pack_into}
         self.bound: dict = {}
@@ -235,12 +235,13 @@ class _Source:
         elif region.kind == "dispatcher":
             self.count(f"{self.bind(region.owner)}.data_accesses")
         else:
+            self.ns["fabric"] = region.owner
             self.count("dmi")
             self.count("dmi_cycles", region.cycles)
         self.count("cycles", region.cycles)
 
 
-def compile_trace(core, records, next_pc: int, stop: str, fabric=None
+def compile_trace(core, records, next_pc: int, stop: str
                   ) -> Optional[Trace]:
     """Compile recorded ``(entry, region, took_branch)`` triples.
 
@@ -251,7 +252,7 @@ def compile_trace(core, records, next_pc: int, stop: str, fabric=None
     first record's PC).  Returns None when not even the first instruction
     translates.
     """
-    src = _Source(core, fabric)
+    src = _Source(core)
     emit = src.lines.append
     end_pc, reason = next_pc, stop
     index = 0

@@ -874,8 +874,7 @@ class MicroBlazeWrapper(Module, SimComponent):
         if stats.decoded_invalidations != stamp:
             head.heat = 0
             return
-        trace = compile_trace(self.core, records, next_pc, stop,
-                              self.transport)
+        trace = compile_trace(self.core, records, next_pc, stop)
         if trace is None:
             head.heat = -_trace.TRACE_RETRY_COUNT
             return

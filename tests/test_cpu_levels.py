@@ -23,7 +23,7 @@ import pytest
 
 from repro.bus import BUS_FUNCTIONAL, BUS_SIGNAL, BUS_TRANSACTION
 from repro.isa.assembler import assemble
-from repro.iss import CPU_CYCLE, CPU_QUANTUM, cpu_levels
+from repro.iss import CPU_CYCLE, CPU_QUANTUM, cpu_levels, trace
 from repro.iss.functional import FunctionalMicroBlaze
 from repro.kernel import ENGINE_CLOCKED, ENGINE_GENERIC
 from repro.kernel.errors import AlignmentError
@@ -569,6 +569,54 @@ targets:
     lwi     r4, r20, 0""", setup=f"    li      r20, {mm.FLASH_BASE:#x}")
         stats = run_both_levels(program, variant=VariantName.NATIVE_TYPES)
         assert stats.trace_exits["read_only"] > 0
+
+    @pytest.mark.parametrize("variant", [VariantName.NATIVE_TYPES,
+                                         VariantName.SUPPRESS_MAIN_MEMORY])
+    def test_access_counters_match_per_instruction_path(self, variant,
+                                                        monkeypatch):
+        """BRAM, SDRAM (DMI or dispatcher) and FLASH accesses booked in
+        batches at trace exits equal the per-instruction path's counts."""
+        program = hot_loop_program(f"""
+    lwi     r4, r20, 0
+    addik   r4, r4, 3
+    swi     r4, r20, 4
+    lbui    r5, r20, 5
+    shi     r5, r1, 0
+    lwi     r6, r21, 0""", passes=300, setup=f"""
+    li      r20, {mm.SDRAM_BASE + 0x100:#x}
+    li      r21, {mm.FLASH_BASE:#x}""")
+
+        def counters(hot_count):
+            monkeypatch.setattr(trace, "TRACE_HOT_COUNT", hot_count)
+            platform = VanillaNetPlatform(variant_config(
+                variant, engine=ENGINE_CLOCKED, bus_level=BUS_FUNCTIONAL,
+                cpu_level=CPU_QUANTUM))
+            platform.load_program(program)
+            while not platform.microblaze.finished:
+                for window in (37, 101, 13, 250):
+                    platform.run_cycles(window)
+            fabric = platform.bus_fabric
+            storages = [platform.lmb.bram, platform.dispatcher.main_memory,
+                        fabric.dmi_region(mm.FLASH_BASE)[0]]
+            return {
+                "observed": observe(platform),
+                "lmb": (platform.lmb.reads, platform.lmb.writes),
+                "dispatcher": platform.dispatcher.data_accesses,
+                "storages": [(storage.read_accesses, storage.write_accesses)
+                             for storage in storages],
+                "fabric": (fabric.transfer_count, fabric.cycles_spent,
+                           fabric.transactions_granted, fabric.dmi_hits,
+                           dict(fabric.per_master_transfers),
+                           dict(fabric.per_master_transactions)),
+                "traces": platform.statistics.traces_compiled,
+            }
+
+        hot_count = trace.TRACE_HOT_COUNT
+        per_instruction = counters(10 ** 9)
+        traced = counters(hot_count)
+        assert per_instruction.pop("traces") == 0
+        assert traced.pop("traces") > 0
+        assert traced == per_instruction
 
     def test_device_register(self):
         program = hot_loop_program("""
