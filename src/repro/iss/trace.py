@@ -262,7 +262,9 @@ def compile_trace(core, records, next_pc: int, stop: str
         main = index + first.is_imm
         if first.is_imm and (main == len(records)
                              or records[main][0].is_imm):
-            end_pc, reason = pc, "unsupported"
+            # What stopped the recording stopped the ``imm``'s consumer.
+            end_pc, reason = pc, stop if main == len(records) \
+                else "unsupported"
             break
         entry, region, taken = records[main]
         ins = entry.instruction
