@@ -192,11 +192,11 @@ class BusTransport(SimComponent):
         self.per_master_transfers.update(state["per_master_transfers"])
 
     # -- statistics -----------------------------------------------------------
-    def _account(self, master_id: int, cycles: int) -> None:
-        self.transfer_count += 1
+    def _account(self, master_id: int, cycles: int, count: int = 1) -> None:
+        self.transfer_count += count
         self.cycles_spent += cycles
         self.per_master_transfers[master_id] = \
-            self.per_master_transfers.get(master_id, 0) + 1
+            self.per_master_transfers.get(master_id, 0) + count
 
     def describe(self) -> str:
         """One-line human-readable description of the fabric."""
@@ -281,10 +281,10 @@ class TransactionFabric(BusTransport):
                 f"{address:#010x} (master id {master_id})")
         return slave
 
-    def _grant(self, master_id: int) -> None:
-        self.transactions_granted += 1
+    def _grant(self, master_id: int, count: int = 1) -> None:
+        self.transactions_granted += count
         self.per_master_transactions[master_id] = \
-            self.per_master_transactions.get(master_id, 0) + 1
+            self.per_master_transactions.get(master_id, 0) + count
 
     def _annotated_wait(self, slave):
         """Simulated time from the request edge to the slave-access edge."""
@@ -461,14 +461,9 @@ class FunctionalFabric(TransactionFabric):
         """Book ``transfers`` DMI transfers of ``cycles`` cycles in total at
         once, exactly as that many :meth:`direct_read`/:meth:`direct_write`
         calls would (the ISS's compiled traces batch theirs)."""
-        self.transactions_granted += transfers
-        self.per_master_transactions[master_id] = \
-            self.per_master_transactions.get(master_id, 0) + transfers
+        self._grant(master_id, transfers)
         self.dmi_hits += transfers
-        self.transfer_count += transfers
-        self.cycles_spent += cycles
-        self.per_master_transfers[master_id] = \
-            self.per_master_transfers.get(master_id, 0) + transfers
+        self._account(master_id, cycles, transfers)
 
 
 def create_fabric(kind: str, **kwargs) -> BusTransport:

@@ -886,12 +886,11 @@ class MicroBlazeWrapper(Module, SimComponent):
     def _dmi_trace_region(self, address: int, cycles: int, store: bool):
         """The :class:`TraceRegion` of the DMI region that just served an
         access at ``address`` (``"read_only"`` for a dropped store)."""
-        storage, slave = self.transport.dmi_region(address)
+        storage = self.transport.dmi_region(address)[0]
         if store and storage.read_only:
             return "read_only"
         return TraceRegion(storage, self.transport, "dmi", cycles,
-                           max(storage.base_address, slave.base_address),
-                           min(storage.end_address, slave.end_address))
+                           storage.base_address, storage.end_address)
 
     # -- in-warp peripheral access -------------------------------------------
     def _warp_device_read(self, ctx, uart_states, address, size, base_cycles,
