@@ -32,8 +32,11 @@ from ..isa import encoding as enc
 from .core import CARRY_FLAGS, LOGIC_OPS, MicroBlazeCore
 
 #: Warp dispatches from one PC before the path from it is recorded and
-#: compiled; cold boot code never gets there.
-TRACE_HOT_COUNT = 16
+#: compiled.  Interpreting 64 passes of a four-instruction loop costs about
+#: what one ``compile()`` does (0.4-0.9 ms), so, as in ski rental, a head
+#: that goes cold right after compiling has cost at most about twice the
+#: better choice; cold code and short measurement windows never compile.
+TRACE_HOT_COUNT = 64
 
 #: Longest path recorded for one trace, in instructions.
 TRACE_MAX_INSNS = 64

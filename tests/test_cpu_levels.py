@@ -404,6 +404,11 @@ class TestCompiledTraces:
     """Hot loops run as compiled traces; each hand-over to the
     per-instruction path leaves exactly the per-cycle state."""
 
+    @pytest.fixture(autouse=True)
+    def short_loops_compile(self, monkeypatch):
+        # The loops below run tens of passes; compile them after 16.
+        monkeypatch.setattr(trace, "TRACE_HOT_COUNT", 16)
+
     def test_store_into_running_trace(self):
         # Pass 30 of 40 stores over the loop's first instruction (+1
         # becomes +100) from inside the running trace: r3 = 30 + 10 * 100.
