@@ -31,11 +31,8 @@ from ..datatypes import WORD_MASK, sign_extend
 from ..isa import encoding as enc
 from .core import CARRY_FLAGS, LOGIC_OPS, MicroBlazeCore
 
-#: Warp dispatches from one PC before the path from it is recorded and
-#: compiled.  Interpreting 64 passes of a four-instruction loop costs about
-#: what one ``compile()`` does (0.4-0.9 ms), so, as in ski rental, a head
-#: that goes cold right after compiling has cost at most about twice the
-#: better choice; cold code and short measurement windows never compile.
+#: Warp dispatches from one PC before the path from it is compiled: 64
+#: passes of a four-instruction loop cost about one ``compile()``.
 TRACE_HOT_COUNT = 64
 
 #: Longest path recorded for one trace, in instructions.

@@ -882,10 +882,8 @@ class MicroBlazeWrapper(Module, SimComponent):
         trace.stamp = stamp
         head.trace = trace
         stats.traces_compiled += 1
-        # The path's other PCs heated up with the head; from now on only
-        # dispatches the trace does not absorb count towards another one.
         for entry, _region, _taken in records:
-            entry.heat = 0
+            entry.heat = 0  # from now on, only dispatches the trace misses
 
     def _dmi_trace_region(self, address: int, cycles: int, store: bool):
         """The :class:`TraceRegion` of the DMI region that just served an
