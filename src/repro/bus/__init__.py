@@ -8,9 +8,8 @@ fabrics) lives in :mod:`repro.bus.transport`.
 from .lmb import (BRAM_BASE_ADDRESS, BRAM_SIZE, LMB_ACCESS_CYCLES,
                   LocalMemoryBus)
 from .opb import (DATA_MASTER, INSTRUCTION_MASTER, OpbArbiter, OpbMasterPort,
-                  OpbSlave, snoop_bus_address)
-from .signals import (OpbBusSignals, OpbInterconnect, OpbMasterSignals,
-                      coerce_bit, coerce_int, peek_int, read_bit, read_int)
+                  OpbSlave)
+from .signals import OpbBusSignals, OpbInterconnect, OpbMasterSignals
 from .transport import (BUS_FUNCTIONAL, BUS_SIGNAL, BUS_TRANSACTION,
                         BusTransport, FunctionalFabric, SignalFabric,
                         TransactionFabric, bus_levels, create_fabric,
@@ -37,12 +36,6 @@ __all__ = [
     "SignalFabric",
     "TransactionFabric",
     "bus_levels",
-    "coerce_bit",
-    "coerce_int",
     "create_fabric",
-    "peek_int",
     "protocol_transfer_cycles",
-    "read_bit",
-    "read_int",
-    "snoop_bus_address",
 ]

@@ -30,8 +30,7 @@ from ..kernel.events import Event
 from ..kernel.module import Module
 from ..kernel.engine import SimulationEngine
 from ..signals.ports import InPort, OutPort
-from .signals import (OpbBusSignals, OpbInterconnect, OpbMasterSignals,
-                      coerce_bit, coerce_int, peek_int, read_bit, read_int)
+from .signals import OpbBusSignals, OpbInterconnect, OpbMasterSignals
 
 #: Master identifiers (value driven on ``bus.master_id``).
 INSTRUCTION_MASTER = 1
@@ -83,19 +82,19 @@ class OpbMasterPort(SimComponent):
             yield None
             cycles += 1
             if cycles > _TRANSFER_TIMEOUT_CYCLES:
-                granted = read_bit(signals.grant)
-                acked = read_bit(self.bus.xfer_ack)
+                granted = signals.grant.read_bit()
+                acked = self.bus.xfer_ack.read_bit()
                 raise ModelError(
                     f"OPB {'write' if is_write else 'read'} timed out: "
                     f"master {self.name!r} (id {self.master_id}), "
                     f"address {address:#010x}, size {size}, "
                     f"waited {cycles} cycles "
                     f"(grant={int(granted)}, xfer_ack={int(acked)})")
-            if read_bit(self.signals.grant) and read_bit(self.bus.xfer_ack):
+            if signals.grant.read_bit() and self.bus.xfer_ack.read_bit():
                 break
         read_value = None
         if not is_write:
-            read_value = read_int(self.bus.read_data)
+            read_value = self.bus.read_data.read_int()
         signals.request.write(0)
         self.transfer_count += 1
         self.cycles_spent += cycles
@@ -168,12 +167,12 @@ class OpbArbiter(Module, SimComponent):
     # -- the per-cycle process -------------------------------------------------
     def _arbitrate(self) -> None:
         bus = self.interconnect.bus
-        if read_bit(bus.reset):
+        if bus.reset.read_bit():
             bus.select.write(0)
             self._busy_master = None
             return
         if self._busy_master is not None:
-            if read_bit(bus.xfer_ack):
+            if bus.xfer_ack.read_bit():
                 bus.select.write(0)
                 self._busy_master.grant.write(0)
                 self._busy_master = None
@@ -182,17 +181,17 @@ class OpbArbiter(Module, SimComponent):
         master_id = 0
         data_master = self.interconnect.data_master
         instruction_master = self.interconnect.instruction_master
-        if read_bit(data_master.request):
+        if data_master.request.read_bit():
             chosen, master_id = data_master, DATA_MASTER
-        elif read_bit(instruction_master.request):
+        elif instruction_master.request.read_bit():
             chosen, master_id = instruction_master, INSTRUCTION_MASTER
         if chosen is None:
             return
-        address = read_int(chosen.address)
+        address = chosen.address.read_int()
         bus.address.write(address)
-        bus.write_data.write(read_int(chosen.write_data))
-        bus.rnw.write(read_int(chosen.rnw))
-        bus.byte_enable.write(read_int(chosen.byte_enable))
+        bus.write_data.write(chosen.write_data.read_int())
+        bus.rnw.write(chosen.rnw.read_int())
+        bus.byte_enable.write(chosen.byte_enable.read_int())
         bus.master_id.write(master_id)
         bus.select.write(1)
         chosen.grant.write(1)
@@ -227,9 +226,10 @@ class OpbSlave(Module, SimComponent):
         super().__init__(sim, name)
         self.base_address = base_address
         self.size = size
+        #: First address beyond this slave's range.
+        self.end_address = base_address + size
         self.interconnect = interconnect
         self.clock = clock
-        self.reduced_port_reading = reduced_port_reading
         self.gated = gated
         self.wake_event = Event(sim, f"{name}.wake")
         #: True while this slave is detached from the bus (dispatcher mode).
@@ -261,49 +261,24 @@ class OpbSlave(Module, SimComponent):
         if register_process:
             sensitivity = [self.wake_event] if gated \
                 else [clock.posedge_event()]
-            self.process = self.sc_process(self._decode,
-                                           sensitive=sensitivity,
+            decode = self._decode_reduced if reduced_port_reading \
+                else self._decode_naive
+            self.process = self.sc_process(decode, sensitive=sensitivity,
                                            use_method=use_method,
-                                           dont_initialize=True)
+                                           dont_initialize=True,
+                                           name="_decode")
 
     # -- address decode --------------------------------------------------------
-    @property
-    def end_address(self) -> int:
-        """First address beyond this slave's range."""
-        return self.base_address + self.size
-
     def claims(self, address: int) -> bool:
         """True when ``address`` decodes to this slave."""
         return self.base_address <= address < self.end_address
 
     # -- the per-cycle decode process --------------------------------------------
-    def _decode(self) -> None:
-        if self.detached:
-            return
-        if self._ack_asserted:
-            # Acknowledge lasts exactly one cycle; afterwards this slave
-            # stops driving the shared acknowledge/read-data wires entirely
-            # so other slaves' responses resolve cleanly.
-            self.ack_port.release()
-            self.rdata_port.release()
-            self._ack_asserted = False
-            if self.gated:
-                # A gated slave is only woken again for a brand-new transfer,
-                # so the completed transfer's select is already history.
-                self._await_deselect = False
-                return
-        if self.reduced_port_reading:
-            self._decode_optimised()
-        else:
-            self._decode_naive()
-        if self.gated and (self._countdown is not None or self._ack_asserted):
-            # Re-arm ourselves (latency counting / acknowledge deassertion)
-            # without being clock sensitive the rest of the time.  The
-            # wake-up lands between clock edges so the acknowledge stays
-            # visible through the whole edge on which the master and the
-            # arbiter sample it.
-            self.sim.next_trigger(self.clock.period_ps * 3 // 2)
-
+    # One body per port-reading style, registered directly as the process.
+    # Both start by letting go of an acknowledge asserted last activation
+    # and end by re-arming a gated slave; only the port reads differ.  While
+    # the completed transfer's select is still visible (_await_deselect),
+    # neither decodes a new transfer until the arbiter withdraws it.
     def _decode_naive(self) -> None:
         """Hardware-style decode: re-reads ports, checks reset every cycle.
 
@@ -311,44 +286,67 @@ class OpbSlave(Module, SimComponent):
         the reset port is read every cycle and the address/select ports are
         read more than once per activation.
         """
-        if coerce_bit(self.reset_port.read()):
+        if self.detached or (self._ack_asserted and self._end_acknowledge()):
+            return
+        if self.reset_port.read_bit():
             self._countdown = None
             self._await_deselect = False
             self.ack_port.release()
             self.rdata_port.release()
             return
-        if not coerce_bit(self.select_port.read()):
+        if not self.select_port.read_bit():
             self._countdown = None
             self._await_deselect = False
-            return
-        if self._await_deselect:
-            # The completed transfer's select is still visible; wait for the
-            # arbiter to withdraw it before decoding a new transfer.
-            return
-        if not self.claims(coerce_int(self.address_port.read())):
-            return
-        # Naive style reads the address and control ports again for the
-        # actual access.
-        address = coerce_int(self.address_port.read())
-        rnw = coerce_bit(self.rnw_port.read())
-        byte_enable = coerce_int(self.be_port.read())
-        self._advance_transfer(address, rnw, byte_enable)
+        elif not self._await_deselect \
+                and self.claims(self.address_port.read_int()):
+            # Naive style reads the address and control ports again for
+            # the actual access.
+            self._advance_transfer(self.address_port.read_int(),
+                                   self.rnw_port.read_bit(),
+                                   self.be_port.read_int())
+        if self.gated:
+            self._rearm()
 
-    def _decode_optimised(self) -> None:
+    def _decode_reduced(self) -> None:
         """Section 4.4 style: each port read exactly once per activation."""
-        select = coerce_bit(self.select_port.read())
-        if not select:
+        if self.detached or (self._ack_asserted and self._end_acknowledge()):
+            return
+        if not self.select_port.read_bit():
             self._countdown = None
             self._await_deselect = False
-            return
-        if self._await_deselect:
-            return
-        address = coerce_int(self.address_port.read())
-        if not self.claims(address):
-            return
-        rnw = coerce_bit(self.rnw_port.read())
-        byte_enable = coerce_int(self.be_port.read())
-        self._advance_transfer(address, rnw, byte_enable)
+        elif not self._await_deselect:
+            address = self.address_port.read_int()
+            if self.claims(address):
+                self._advance_transfer(address, self.rnw_port.read_bit(),
+                                       self.be_port.read_int())
+        if self.gated:
+            self._rearm()
+
+    def _end_acknowledge(self) -> bool:
+        """Release the acknowledge asserted last activation; True when the
+        activation ends here (a gated slave)."""
+        # Acknowledge lasts exactly one cycle; afterwards this slave stops
+        # driving the shared acknowledge/read-data wires entirely so other
+        # slaves' responses resolve cleanly.
+        self.ack_port.release()
+        self.rdata_port.release()
+        self._ack_asserted = False
+        if self.gated:
+            # A gated slave is only woken again for a brand-new transfer,
+            # so the completed transfer's select is already history.
+            self._await_deselect = False
+        return self.gated
+
+    def _rearm(self) -> None:
+        """Re-arm a gated slave (latency counting / acknowledge
+        deassertion) without being clock sensitive the rest of the time.
+
+        The wake-up lands between clock edges so the acknowledge stays
+        visible through the whole edge on which the master and the arbiter
+        sample it.
+        """
+        if self._countdown is not None or self._ack_asserted:
+            self.sim.next_trigger(self.clock.period_ps * 3 // 2)
 
     def _advance_transfer(self, address: int, rnw: bool,
                           byte_enable: int) -> None:
@@ -363,7 +361,7 @@ class OpbSlave(Module, SimComponent):
             value = self.target_read(address, size)
             self.rdata_port.write(value)
         else:
-            write_value = coerce_int(self.wdata_port.read())
+            write_value = self.wdata_port.read_int()
             self.target_write(address, write_value, size)
         self.ack_port.write(1)
         self._ack_asserted = True
@@ -426,7 +424,3 @@ class OpbSlave(Module, SimComponent):
         return (f"{type(self).__name__}({self.name!r}, "
                 f"base={self.base_address:#010x}, size={self.size:#x})")
 
-
-def snoop_bus_address(bus: OpbBusSignals) -> int:
-    """Peek the currently driven bus address without a modelled port read."""
-    return peek_int(bus.address)

@@ -9,65 +9,17 @@ each component are plain Python.
 The signal data type is selected by
 :class:`~repro.signals.signal.DataMode`: the "initial model" uses resolved
 logic vectors everywhere, the optimised models use native integers
-(section 4.2).
+(section 4.2).  In either mode the bus models read these wires through the
+signal's own ``read_int``/``read_bit``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..datatypes import LogicVector
 from ..kernel.component import SCOPE_BUS_LEVEL, SimComponent
 from ..kernel.engine import SimulationEngine
 from ..signals import DataMode, make_signal
-
-
-def read_int(signal, default: int = 0) -> int:
-    """Read a signal in either data mode and coerce to an integer.
-
-    Undriven / unknown resolved values read as ``default`` -- the same
-    forgiving behaviour a C++ model gets by converting ``sc_lv`` values with
-    an explicit default.
-    """
-    value = signal.read()
-    if isinstance(value, LogicVector):
-        if not value.is_known():
-            return default
-        return value.to_int()
-    return int(value)
-
-
-def peek_int(signal, default: int = 0) -> int:
-    """Like :func:`read_int` but without counting as a modelled port read."""
-    value = signal.value
-    if isinstance(value, LogicVector):
-        if not value.is_known():
-            return default
-        return value.to_int()
-    return int(value)
-
-
-def read_bit(signal, default: bool = False) -> bool:
-    """Read a 1-bit signal as a boolean in either data mode."""
-    return bool(read_int(signal, int(default)))
-
-
-def coerce_int(value, default: int = 0) -> int:
-    """Coerce an already-read signal *value* to an integer.
-
-    Used where the value came through a port read (so the read is already
-    counted) and only the type conversion remains.
-    """
-    if isinstance(value, LogicVector):
-        if not value.is_known():
-            return default
-        return value.to_int()
-    return int(value)
-
-
-def coerce_bit(value, default: bool = False) -> bool:
-    """Coerce an already-read signal value to a boolean."""
-    return bool(coerce_int(value, int(default)))
 
 
 @dataclass

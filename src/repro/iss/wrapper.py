@@ -34,7 +34,7 @@ from ..bus.lmb import LMB_ACCESS_CYCLES, LocalMemoryBus
 from ..bus.opb import DATA_MASTER, INSTRUCTION_MASTER
 from ..bus.transport import (ACK_TO_MASTER_CYCLES, BUS_FUNCTIONAL,
                              BUS_TRANSACTION, REQUEST_TO_GRANT_CYCLES,
-                             BusTransport)
+                             BusTransport, protocol_transfer_cycles)
 from ..datatypes import WORD_MASK
 from ..kernel.component import SimComponent
 from ..kernel.errors import ModelError
@@ -562,6 +562,9 @@ class MicroBlazeWrapper(Module, SimComponent):
             main_region = TraceRegion(main, dispatcher, "dispatcher",
                                       DISPATCHER_ACCESS_CYCLES,
                                       main_lo, main_end)
+        # Only the functional fabric has DMI regions; on the others every
+        # access outside BRAM and main memory takes the device path.
+        dmi_region = getattr(transport, "dmi_region", None)
         # ---- execution ------------------------------------------------
         # ``cycles`` counts warp-relative charged cycles across sub-bursts,
         # ``charged`` how many of them have already been paid to the kernel
@@ -702,11 +705,25 @@ class MicroBlazeWrapper(Module, SimComponent):
                         region = main_region
                     if region is not None:
                         storage = region.storage
-                        if entry.is_load:
-                            self._load_value = storage.read(address, size)
-                        elif storage.read_only:
+                        if entry.is_store and storage.read_only:
                             refusal = "read_only"
                             break
+                        data_cycles = region.cycles
+                    elif bound is not None and dmi_region is not None:
+                        storage, slave = dmi_region(address)
+                        if storage is not None:
+                            data_cycles = protocol_transfer_cycles(
+                                slave.latency, slave.gated)
+                    if data_cycles and bound is not None \
+                            and cycles + fetch_cycles + data_cycles > bound:
+                        # A memory access that would cross the bound is
+                        # left undone: the path that carries execution
+                        # across the break performs and books it once.
+                        flush = link_limited
+                        break
+                    if region is not None:
+                        if entry.is_load:
+                            self._load_value = storage.read(address, size)
                         else:
                             storage.write(address, core.preview_store_value(
                                 entry.instruction), size)
@@ -716,7 +733,6 @@ class MicroBlazeWrapper(Module, SimComponent):
                             lmb.reads += 1
                         else:
                             lmb.writes += 1
-                        data_cycles = region.cycles
                     elif entry.is_load:
                         served = transport.direct_read(DATA_MASTER, address,
                                                        size)
@@ -760,8 +776,7 @@ class MicroBlazeWrapper(Module, SimComponent):
                 if bound is not None and cycles + step_cycles > bound:
                     # Timer wrap / run window / link horizon ahead; flush
                     # (horizon) or let the per-cycle path carry execution
-                    # across the break point (everything else).  A served
-                    # DMI store replays there idempotently.
+                    # across the break point (everything else).
                     flush = link_limited
                     break
                 took_branch = core.execute_decoded(entry)

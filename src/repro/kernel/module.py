@@ -108,7 +108,8 @@ class Module:
 
     def sc_process(self, func: Callable, sensitive: Iterable = (),
                    use_method: bool = True,
-                   dont_initialize: bool = False):
+                   dont_initialize: bool = False,
+                   name: Optional[str] = None):
         """Register ``func`` as either a method or a thread.
 
         This is the hook the paper's "Threads vs Methods" experiment
@@ -120,9 +121,9 @@ class Module:
         the scheduling mechanism differs.
         """
         if use_method:
-            return self.sc_method(func, sensitive, dont_initialize)
+            return self.sc_method(func, sensitive, dont_initialize, name)
         if inspect.isgeneratorfunction(func):
-            return self.sc_thread(func, sensitive, dont_initialize)
+            return self.sc_thread(func, sensitive, dont_initialize, name)
 
         def _looping_thread():
             while True:
@@ -130,7 +131,7 @@ class Module:
                 yield None
 
         return self.sc_thread(_looping_thread, sensitive, dont_initialize,
-                              name=getattr(func, "__name__", "thread"))
+                              name=name or getattr(func, "__name__", "thread"))
 
     # -- conveniences ----------------------------------------------------------
     def next_trigger(self, spec=None) -> None:

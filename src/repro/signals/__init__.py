@@ -5,7 +5,7 @@ from .fifo import Fifo
 from .ports import (CachingInPort, InOutPort, InPort, OutPort, Port,
                     bind_ports)
 from .signal import (DataMode, ResolvedSignal, Signal, SignalBase,
-                     UnresolvedSignal, make_signal, signal_value_to_int)
+                     UnresolvedSignal, make_signal)
 
 __all__ = [
     "CachingInPort",
@@ -23,5 +23,4 @@ __all__ = [
     "UnresolvedSignal",
     "bind_ports",
     "make_signal",
-    "signal_value_to_int",
 ]

@@ -9,6 +9,11 @@ calls each time, so the optimised models read once into a local variable.
 To make that effect measurable, ports count their read and write calls, and
 :class:`CachingInPort` implements the optimisation as a reusable component
 (one underlying read per delta cycle, later reads served from the cache).
+
+Ports forward to the bound channel's own ``read_int``/``read_bit`` and
+``write``/``release`` (see :mod:`repro.signals.signal`); each forwards
+through ``self._channel or self.channel`` -- the slot when bound, the
+property that raises :class:`~repro.kernel.errors.BindingError` when not.
 """
 
 from __future__ import annotations
@@ -55,9 +60,10 @@ class Port(Generic[ValueT]):
     @property
     def channel(self):
         """The bound channel; raises if unbound."""
-        if self._channel is None:
+        channel = self._channel
+        if channel is None:
             raise BindingError(f"port {self.name!r} is not bound")
-        return self._channel
+        return channel
 
     # -- events ---------------------------------------------------------------
     def default_event(self) -> Event:
@@ -87,7 +93,17 @@ class InPort(Port[ValueT]):
     def read(self) -> ValueT:
         """Read the bound channel (one full call chain per invocation)."""
         self.read_count += 1
-        return self.channel.read()
+        return (self._channel or self.channel).read()
+
+    def read_int(self, default: int = 0):
+        """The bound channel's integer read (X/Z reads as ``default``)."""
+        self.read_count += 1
+        return (self._channel or self.channel).read_int(default)
+
+    def read_bit(self, default: bool = False):
+        """The bound channel's bit read (X/Z reads as ``default``)."""
+        self.read_count += 1
+        return (self._channel or self.channel).read_bit(default)
 
 
 class OutPort(Port[ValueT]):
@@ -100,17 +116,12 @@ class OutPort(Port[ValueT]):
     def write(self, value: ValueT) -> None:
         """Write through to the bound channel.
 
-        For resolved signals the port itself is used as the driver key, so
-        two output ports bound to the same ``ResolvedSignal`` resolve
-        against each other exactly like two ``sc_out_rv`` ports.
+        The port itself is the driver key, so two output ports bound to the
+        same ``ResolvedSignal`` resolve against each other exactly like two
+        ``sc_out_rv`` ports.
         """
         self.write_count += 1
-        channel = self.channel
-        try:
-            channel.write(value, driver=self)
-        except TypeError:
-            channel.write(value)
-
+        (self._channel or self.channel).write(value, self)
 
     def release(self) -> None:
         """Stop driving the bound channel.
@@ -122,12 +133,7 @@ class OutPort(Port[ValueT]):
         acknowledge/read-data wires.
         """
         self.write_count += 1
-        channel = self.channel
-        release = getattr(channel, "release", None)
-        if release is not None:
-            release(driver=self)
-        else:
-            channel.write(0)
+        (self._channel or self.channel).release(self)
 
 
 class InOutPort(OutPort[ValueT]):
@@ -137,10 +143,9 @@ class InOutPort(OutPort[ValueT]):
 
     direction = "inout"
 
-    def read(self) -> ValueT:
-        """Read the bound channel."""
-        self.read_count += 1
-        return self.channel.read()
+    read = InPort.read
+    read_int = InPort.read_int
+    read_bit = InPort.read_bit
 
 
 class CachingInPort(InPort[ValueT]):
@@ -149,7 +154,7 @@ class CachingInPort(InPort[ValueT]):
     The first ``read()`` in a delta cycle performs a real channel read; later
     reads in the same delta return the cached value without touching the
     channel.  ``underlying_reads`` exposes how many real reads happened so
-    the benchmark can show the reduction.
+    the benchmark can show the reduction.  Only ``read`` is cached.
     """
 
     __slots__ = ("underlying_reads", "_cache_valid_at", "_cached_value")

@@ -16,6 +16,12 @@ Both follow the SystemC evaluate/update protocol: ``write`` stores the new
 value and requests an update; the value visible through ``read`` changes
 only in the update phase, and a change triggers the value-changed event as a
 delta notification.
+
+Both families also share one access interface, so a model reads and drives
+either without testing types: ``read_int``/``read_bit`` convert in the
+class that owns the value (a native signal returns it as stored, a resolved
+one reads X/Z as the caller's default), and ``write``/``release`` take an
+optional driver that only the resolved family keys its slots on.
 """
 
 from __future__ import annotations
@@ -116,11 +122,30 @@ class Signal(SignalBase, Generic[ValueT]):
         self.read_count += 1
         return self._current
 
-    def write(self, value: ValueT) -> None:
-        """Schedule ``value`` to become visible in the next update phase."""
+    def read_int(self, default: int = 0) -> ValueT:
+        """Committed value as an integer: the stored value itself.
+
+        A native value is never unknown, so ``default`` is unused; it is
+        accepted so callers read both signal families alike.
+        """
+        self.read_count += 1
+        return self._current
+
+    #: A bit read is the integer read of a 1-bit signal (0 or 1).
+    read_bit = read_int
+
+    def write(self, value: ValueT, driver: Optional[object] = None) -> None:
+        """Schedule ``value`` to become visible in the next update phase.
+
+        A native signal has a single value slot, so ``driver`` is unused.
+        """
         self.write_count += 1
         self._next = value
         self.sim.request_update(self)
+
+    def release(self, driver: Optional[object] = None) -> None:
+        """Stop driving: without tri-state, a native signal drives 0."""
+        self.write(0)
 
     @property
     def value(self) -> ValueT:
@@ -194,9 +219,10 @@ class UnresolvedSignal(Signal):
         super().__init__(sim, name, initial)
         self._writer_this_delta: Optional[object] = None
 
-    def write(self, value, writer: Optional[object] = None) -> None:
-        current_writer = writer if writer is not None \
-            else self.sim.current_process
+    def write(self, value, driver: Optional[object] = None) -> None:
+        """Write ``value``; the writing *process* is the driver checked,
+        whatever port or ``driver`` it writes through."""
+        current_writer = self.sim.current_process
         if (self._writer_this_delta is not None
                 and current_writer is not None
                 and current_writer is not self._writer_this_delta):
@@ -244,10 +270,19 @@ class ResolvedSignal(SignalBase):
         self.read_count += 1
         return self._current
 
-    def read_int(self) -> int:
-        """Committed value as an unsigned integer (raises on X/Z)."""
+    def read_int(self, default: int = 0) -> int:
+        """Committed value as an unsigned integer; ``default`` when any
+        bit is X or Z (an ``sc_lv`` conversion with an explicit default)."""
         self.read_count += 1
-        return self._current.to_int()
+        value = self._current
+        if not value.is_known():
+            return default
+        return value.to_int()
+
+    def read_bit(self, default: bool = False) -> bool:
+        """Committed value of a 1-bit signal as a boolean; ``default``
+        when it is X or Z."""
+        return bool(self.read_int(default))
 
     @property
     def value(self) -> LogicVector:
@@ -329,10 +364,3 @@ def make_signal(sim: SimulationEngine, name: str, width: int,
     if mode is DataMode.RESOLVED:
         return ResolvedSignal(sim, name, width, initial)
     return Signal(sim, name, initial)
-
-
-def signal_value_to_int(value) -> int:
-    """Read helper usable with both signal families."""
-    if isinstance(value, LogicVector):
-        return value.to_int()
-    return int(value)

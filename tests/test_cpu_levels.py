@@ -21,7 +21,8 @@ import dataclasses
 
 import pytest
 
-from repro.bus import BUS_FUNCTIONAL, BUS_SIGNAL, BUS_TRANSACTION
+from repro.bus import (BUS_FUNCTIONAL, BUS_SIGNAL, BUS_TRANSACTION,
+                       DATA_MASTER)
 from repro.isa.assembler import assemble
 from repro.iss import CPU_CYCLE, CPU_QUANTUM, cpu_levels, trace
 from repro.iss.functional import FunctionalMicroBlaze
@@ -622,6 +623,36 @@ targets:
         assert per_instruction.pop("traces") == 0
         assert traced.pop("traces") > 0
         assert traced == per_instruction
+
+    @pytest.mark.parametrize("variant", [VariantName.NATIVE_TYPES,
+                                         VariantName.SUPPRESS_MAIN_MEMORY])
+    def test_bound_break_books_each_access_once(self, variant):
+        """An access in front of a bound break (here: the end of each run
+        window) is booked once, by the path that then performs it."""
+        program = hot_loop_program("""
+    swi     r22, r1, 0
+    swi     r22, r20, 0
+    lwi     r5, r20, 0""", passes=300,
+            setup=f"    li      r20, {mm.SDRAM_BASE + 0x100:#x}")
+
+        def counters(level):
+            platform = VanillaNetPlatform(variant_config(
+                variant, engine=ENGINE_CLOCKED, bus_level=BUS_FUNCTIONAL,
+                cpu_level=level))
+            platform.load_program(program)
+            while not platform.microblaze.finished:
+                for window in (37, 101, 13, 250):
+                    platform.run_cycles(window)
+            return {
+                "lmb_writes": platform.lmb.writes,
+                "storage_writes": (platform.bram.write_accesses,
+                                   platform.sdram.storage.write_accesses),
+                "dispatcher": platform.dispatcher.data_accesses,
+                "data_transfers":
+                    platform.bus_fabric.per_master_transfers[DATA_MASTER],
+            }
+
+        assert counters(CPU_QUANTUM) == counters(CPU_CYCLE)
 
     def test_device_register(self):
         program = hot_loop_program("""

@@ -7,8 +7,7 @@ from repro.kernel import MultipleDriverError, SimTime, Simulator
 from repro.kernel.errors import BindingError
 from repro.signals import (CachingInPort, Clock, DataMode, Fifo, InOutPort,
                            InPort, ManualClock, OutPort, ResolvedSignal,
-                           Signal, UnresolvedSignal, make_signal,
-                           signal_value_to_int)
+                           Signal, UnresolvedSignal, make_signal)
 
 
 class TestSignal:
@@ -178,9 +177,52 @@ class TestMakeSignal:
         assert isinstance(sig, ResolvedSignal)
         assert sig.value.to_int() == 7
 
-    def test_signal_value_to_int(self):
-        assert signal_value_to_int(5) == 5
-        assert signal_value_to_int(LogicVector(4, 9)) == 9
+
+def resolved(value: str) -> ResolvedSignal:
+    """A resolved signal whose committed value is ``value`` (MSB first)."""
+    return ResolvedSignal(Simulator(), "r", width=len(value),
+                          initial=LogicVector(len(value), value))
+
+
+class TestConversions:
+    """Each signal class converts its own value on integer and bit reads."""
+
+    def test_native_reads_return_the_stored_value(self):
+        sig = Signal(Simulator(), "s", 0xA5)
+        assert sig.read_int() == 0xA5
+        assert sig.read_int(default=7) == 0xA5
+        assert Signal(Simulator(), "b", 1).read_bit() == 1
+        assert not Signal(Simulator(), "b", 0).read_bit(default=True)
+        assert sig.read_count == 2
+
+    def test_resolved_known_values(self):
+        assert resolved("10100101").read_int() == 0xA5
+        assert resolved("10100101").read_int(default=7) == 0xA5
+        assert resolved("1").read_bit() is True
+        assert resolved("0").read_bit(default=True) is False
+
+    @pytest.mark.parametrize("value", ["X", "Z", "1X01", "ZZZZ"])
+    def test_resolved_unknown_reads_as_default(self, value):
+        assert resolved(value).read_int() == 0
+        assert resolved(value).read_int(default=9) == 9
+        assert resolved(value).read_bit() is False
+        assert resolved(value).read_bit(default=True) is True
+
+    @pytest.mark.parametrize("port_class", [InPort, InOutPort])
+    @pytest.mark.parametrize("make, int_value, bit_value", [
+        (lambda sim: Signal(sim, "s", 1), 1, 1),
+        (lambda sim: ResolvedSignal(sim, "r", 1, 1), 1, True),
+        (lambda sim: ResolvedSignal(sim, "r", 1), 4, True),
+    ])
+    def test_port_reads_forward_and_count_once(self, port_class, make,
+                                               int_value, bit_value):
+        sig = make(Simulator())
+        port = port_class("p")
+        port.bind(sig)
+        assert port.read_int(default=4) == int_value
+        assert port.read_bit(default=True) == bit_value
+        assert port.read_count == 2
+        assert sig.read_count == 2
 
 
 class TestPorts:
@@ -188,6 +230,10 @@ class TestPorts:
         port = InPort("p")
         with pytest.raises(BindingError):
             port.read()
+        with pytest.raises(BindingError):
+            port.read_int()
+        with pytest.raises(BindingError):
+            port.read_bit()
 
     def test_rebinding_rejected(self):
         sim = Simulator()
@@ -241,6 +287,57 @@ class TestPorts:
         sim.spawn_method("drive", drive)
         sim.run()
         assert bus.value.to_string() == "11XX"  # low bits: 0 vs 1 -> X
+
+    def test_failing_resolved_port_write_raises_once(self):
+        sim = Simulator()
+        bus = ResolvedSignal(sim, "bus", width=4)
+        port = OutPort("p")
+        port.bind(bus)
+        with pytest.raises(TypeError):
+            port.write(object())
+        assert bus.write_count == 1
+        assert port.write_count == 1
+
+    def test_out_port_release_on_each_signal_family(self):
+        sim = Simulator()
+        native = Signal(sim, "n", 0)
+        bus = ResolvedSignal(sim, "bus", width=4)
+        ports = [OutPort("n"), OutPort("a"), OutPort("b")]
+        ports[0].bind(native)
+        ports[1].bind(bus)
+        ports[2].bind(bus)
+
+        def drive():
+            for port in ports:
+                port.write(0b0110)
+            yield SimTime.ns(1)
+            for port in ports[:2]:
+                port.release()
+
+        sim.spawn_thread("drive", drive)
+        sim.run(SimTime.ns(2))
+        assert native.value == 0          # a native release drives 0
+        assert bus.driver_count == 1      # only port b still drives
+        assert bus.value.to_int() == 0b0110
+
+    def test_unresolved_signal_keys_ports_on_the_writing_process(self):
+        sim = Simulator()
+        sig = UnresolvedSignal(sim, "s", 0)
+        port_a, port_b, port_c = OutPort("a"), OutPort("b"), OutPort("c")
+        for port in (port_a, port_b, port_c):
+            port.bind(sig)
+
+        def one_process():
+            port_a.write(1)
+            port_b.write(2)     # same process: not a second driver
+
+        sim.spawn_method("one", one_process)
+        sim.run()
+        assert sig.value == 2
+        sim.spawn_method("other", lambda: port_c.write(3))
+        sim.spawn_method("again", lambda: port_a.write(4))
+        with pytest.raises(MultipleDriverError):
+            sim.run()
 
     def test_inout_port_reads_and_writes(self):
         sim = Simulator()
