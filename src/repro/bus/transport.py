@@ -292,6 +292,16 @@ class TransactionFabric(BusTransport):
             + (0 if slave.gated else slave.latency)
         return self.clock.period_ps * pre_access, pre_access
 
+    def account_target(self, master_id: int, transfers: int,
+                       cycles: int) -> None:
+        """Book ``transfers`` slave-hook transfers of ``cycles`` cycles in
+        total that the master performed itself through the slaves'
+        ``target_read``/``target_write`` (the ISS's quantum warp and its
+        compiled traces), exactly as that many :meth:`read`/:meth:`write`
+        calls would."""
+        self._grant(master_id, transfers)
+        self._account(master_id, cycles, transfers)
+
     # -- checkpoint / restore -------------------------------------------------
     def capture_state(self) -> dict:
         state = super().capture_state()
@@ -464,6 +474,11 @@ class FunctionalFabric(TransactionFabric):
         self._grant(master_id, transfers)
         self.dmi_hits += transfers
         self._account(master_id, cycles, transfers)
+
+    def account_target(self, master_id: int, transfers: int,
+                       cycles: int) -> None:
+        super().account_target(master_id, transfers, cycles)
+        self.target_accesses += transfers
 
 
 def create_fabric(kind: str, **kwargs) -> BusTransport:

@@ -10,8 +10,10 @@ direction and the memory region that served its load or store -- and
 registers as locals and ``compile()``s it once.
 
 A trace covers ALU instructions, branches with their delay slots, IMM
-pairs folded into one 32-bit immediate, and loads/stores whose guard
-proves they hit the region seen while recording.  A trace whose path
+pairs folded into one 32-bit immediate, loads/stores whose guard proves
+they hit the memory region seen while recording, and the device register
+accesses the device lets a trace serve (:class:`DeviceRegion`), which
+call the slave's own ``target_read``/``target_write``.  A trace whose path
 branches back to its start loops inside the function for as many passes
 as the caller allows.  Anything else ends the trace with exact state:
 guards exit *before* the instruction (before its IMM prefix), and the
@@ -57,6 +59,11 @@ _TAKEN = {"eq": "{0} == 0", "ne": "{0} != 0", "lt": "{0} >= 0x80000000",
 _REGISTER = re.compile(r"\br(\d+)\b")
 _WRITTEN = re.compile(r"^r(\d+) = ")
 _CARRY = re.compile(r"\bc\b")
+#: Row keys no counter of their own name takes: the cycles (returned to
+#: the caller), and the DMI and slave-hook transfers with their cycles
+#: (booked through the fabric).
+_FABRIC_KEYS = frozenset(("cycles", "dmi", "dmi_cycles", "target",
+                          "target_cycles"))
 
 
 class TraceRegion(NamedTuple):
@@ -73,6 +80,23 @@ class TraceRegion(NamedTuple):
     cycles: int
     lo: int
     end: int
+
+
+class DeviceRegion(NamedTuple):
+    """One device register a trace serves through the slave's hooks.
+
+    The trace calls ``slave.target_read``/``target_write`` at ``address``
+    only, and only while every public property of ``slave`` named in
+    ``conditions`` is true; otherwise it exits in front of the access
+    (reason ``"device"``).  Each transfer costs ``cycles`` and is booked
+    through the ``owner`` fabric's ``account_target``.
+    """
+
+    slave: object
+    owner: object
+    address: int
+    cycles: int
+    conditions: tuple
 
 
 class Trace:
@@ -240,17 +264,45 @@ class _Source:
             self.count("dmi_cycles", region.cycles)
         self.count("cycles", region.cycles)
 
+    def serve(self, entry, imm32: int, region: DeviceRegion, pc: int) -> None:
+        """A guarded device register access of ``entry`` through
+        ``region``'s slave; the guards leave in front of ``pc``."""
+        ins = entry.instruction
+        size = entry.access_size
+        mask = (1 << 8 * size) - 1
+        before = dict(self.counts)
+        emit = self.lines.append
+        b = str(imm32) if ins.fmt is enc.Format.TYPE_B else self.reg(ins.rb)
+        emit(f"if (({self.reg(ins.ra)} + {b}) & 0xFFFFFFFF) != "
+             f"{region.address}: " + self.exit("region", before, pc))
+        slave = self.bind(region.slave)
+        for name in region.conditions:
+            emit(f"if not {slave}.{name}: " + self.exit("device", before, pc))
+        rd = self.reg(ins.rd)
+        if entry.is_load:
+            call = f"{slave}.target_read({region.address}, {size})"
+            emit(f"{rd} = {call} & {mask}" if ins.rd else call)
+            self.count("st.loads")
+        else:
+            emit(f"{slave}.target_write({region.address}, {rd} & {mask}, "
+                 f"{size})")
+            self.count("st.stores")
+        self.ns["fabric"] = region.owner
+        self.count("target")
+        self.count("target_cycles", region.cycles)
+        self.count("cycles", region.cycles)
+
 
 def compile_trace(core, records, next_pc: int, stop: str
                   ) -> Optional[Trace]:
     """Compile recorded ``(entry, region, took_branch)`` triples.
 
-    ``region`` is the :class:`TraceRegion` that served an entry's load or
-    store, or a string naming why none could (``"device"``,
-    ``"read_only"``).  ``next_pc`` is where execution went after the last
-    record and ``stop`` why recording ended there (``"loop"``: back at the
-    first record's PC).  Returns None when not even the first instruction
-    translates.
+    ``region`` is the :class:`TraceRegion` or :class:`DeviceRegion` that
+    served an entry's load or store, or a string naming why a trace cannot
+    (``"device"``, ``"read_only"``).  ``next_pc`` is where execution went
+    after the last record and ``stop`` why recording ended there
+    (``"loop"``: back at the first record's PC).  Returns None when not
+    even the first instruction translates.
     """
     src = _Source(core)
     emit = src.lines.append
@@ -287,10 +339,13 @@ def compile_trace(core, records, next_pc: int, stop: str
             fn is MicroBlazeCore._exec_branch
             and ins.fmt is not enc.Format.TYPE_B)
         if entry.is_load or entry.is_store:
-            if not isinstance(region, TraceRegion):
+            if isinstance(region, TraceRegion):
+                src.access(entry, imm32, region, pc)
+            elif isinstance(region, DeviceRegion):
+                src.serve(entry, imm32, region, pc)
+            else:
                 end_pc, reason = pc, region
                 break
-            src.access(entry, imm32, region, pc)
         elif fn is MicroBlazeCore._exec_branch:
             # A static target needs no code: the record goes on there.
             if indirect:
@@ -374,13 +429,15 @@ def _build(src: _Source, head: int, loops: bool) -> Trace:
         scale = per_pass.get(key, 0)
         totals.append(f"n * {scale} + row[{column}]" if scale
                       else f"row[{column}]")
-        if key not in ("cycles", "dmi", "dmi_cycles"):
+        if key not in _FABRIC_KEYS:
             target = "st.instructions_retired" if key == "retired" else key
             out.append(f"    {target} += {totals[-1]}")
-    if "dmi" in keys:
-        out.append(f"    fabric.account_direct({DATA_MASTER}, "
-                   f"{totals[keys.index('dmi')]}, "
-                   f"{totals[keys.index('dmi_cycles')]})")
+    for key, method in (("dmi", "account_direct"),
+                        ("target", "account_target")):
+        if key in keys:
+            out.append(f"    fabric.{method}({DATA_MASTER}, "
+                       f"{totals[keys.index(key)]}, "
+                       f"{totals[keys.index(key + '_cycles')]})")
     out.append(f"    return npc, {totals[0]}, {totals[1]}, k")
     exec(compile("\n".join(out), f"<trace {head:#010x}>", "exec"), src.ns)
     trace = Trace()

@@ -45,7 +45,8 @@ from ..signals import Signal
 from .core import MicroBlazeCore
 from .interception import KernelFunctionInterceptor
 from . import trace as _trace
-from .trace import IE_SETTING_MNEMONICS, TraceRegion, compile_trace
+from .trace import (IE_SETTING_MNEMONICS, DeviceRegion, TraceRegion,
+                    compile_trace)
 
 #: Cycles accounted for vectoring to the interrupt handler.
 INTERRUPT_ENTRY_CYCLES = 2
@@ -699,21 +700,23 @@ class MicroBlazeWrapper(Module, SimComponent):
                     if size > 1 and address % size:
                         refusal = "misaligned"
                         break
+                    dmi = None
                     if bram_lo <= address and address + size <= bram_end:
                         region = bram_region
                     elif main_lo <= address and address + size <= main_end:
                         region = main_region
+                    elif dmi_region is not None:
+                        # One lookup serves the bound check and the access.
+                        dmi, slave = dmi_region(address)
+                        if dmi is not None:
+                            data_cycles = protocol_transfer_cycles(
+                                slave.latency, slave.gated)
                     if region is not None:
                         storage = region.storage
                         if entry.is_store and storage.read_only:
                             refusal = "read_only"
                             break
                         data_cycles = region.cycles
-                    elif bound is not None and dmi_region is not None:
-                        storage, slave = dmi_region(address)
-                        if storage is not None:
-                            data_cycles = protocol_transfer_cycles(
-                                slave.latency, slave.gated)
                     if data_cycles and bound is not None \
                             and cycles + fetch_cycles + data_cycles > bound:
                         # A memory access that would cross the bound is
@@ -733,45 +736,47 @@ class MicroBlazeWrapper(Module, SimComponent):
                             lmb.reads += 1
                         else:
                             lmb.writes += 1
-                    elif entry.is_load:
-                        served = transport.direct_read(DATA_MASTER, address,
-                                                       size)
-                        if served is None:
-                            if core._imm_prefix is None:
-                                served = self._warp_device_read(
-                                    ctx, uart_states, address, size,
-                                    cycles + fetch_cycles, bound,
-                                    link_limited, rx_horizon, warp_start,
-                                    period)
-                            if served is None:
-                                refusal = "device"
-                                break
-                            if served is _WARP_RETRY:
-                                flush = True
-                                break
-                            region = "device"
-                        self._load_value, data_cycles = served
+                    elif dmi is not None:
+                        # Writes to read-only stores (FLASH) are dropped,
+                        # as on every fabric.
+                        if entry.is_load:
+                            self._load_value = dmi.read(address, size)
+                        elif not dmi.read_only:
+                            dmi.write(address, core.preview_store_value(
+                                entry.instruction), size)
+                        transport.account_direct(DATA_MASTER, 1, data_cycles)
+                        if recording is not None:
+                            region = self._dmi_trace_region(
+                                dmi, data_cycles, entry.is_store)
                     else:
-                        value = core.preview_store_value(entry.instruction)
-                        data_cycles = transport.direct_write(
-                            DATA_MASTER, address, value, size)
-                        if data_cycles is None:
-                            if core._imm_prefix is None:
-                                data_cycles = self._warp_device_write(
-                                    ctx, uart_states, address, value, size,
-                                    cycles + fetch_cycles, bound,
-                                    link_limited, rx_horizon, warp_start,
-                                    period)
-                            if data_cycles is None:
-                                refusal = "device"
-                                break
-                            if data_cycles is _WARP_RETRY:
-                                flush = True
-                                break
-                            region = "device"
-                    if region is None and recording is not None:
-                        region = self._dmi_trace_region(
-                            address, data_cycles, entry.is_store)
+                        if core._imm_prefix is not None:
+                            refusal = "device"
+                            break
+                        if entry.is_load:
+                            served = self._warp_device_read(
+                                ctx, uart_states, address, size,
+                                cycles + fetch_cycles, bound, link_limited,
+                                rx_horizon, warp_start, period)
+                        else:
+                            served = self._warp_device_write(
+                                ctx, uart_states, address,
+                                core.preview_store_value(entry.instruction),
+                                size, cycles + fetch_cycles, bound,
+                                link_limited, rx_horizon, warp_start, period)
+                        if served is None:
+                            refusal = "device"
+                            break
+                        if served is _WARP_RETRY:
+                            flush = True
+                            break
+                        if entry.is_load:
+                            self._load_value, data_cycles = served
+                        else:
+                            data_cycles = served
+                        if recording is not None:
+                            region = self._device_trace_region(
+                                ctx, address, size, data_cycles,
+                                entry.is_store)
                 step_cycles = fetch_cycles + data_cycles
                 if bound is not None and cycles + step_cycles > bound:
                     # Timer wrap / run window / link horizon ahead; flush
@@ -900,14 +905,26 @@ class MicroBlazeWrapper(Module, SimComponent):
         for entry, _region, _taken in records:
             entry.heat = 0  # from now on, only dispatches the trace misses
 
-    def _dmi_trace_region(self, address: int, cycles: int, store: bool):
-        """The :class:`TraceRegion` of the DMI region that just served an
-        access at ``address`` (``"read_only"`` for a dropped store)."""
-        storage = self.transport.dmi_region(address)[0]
+    def _dmi_trace_region(self, storage, cycles: int, store: bool):
+        """The :class:`TraceRegion` of the DMI ``storage`` that just served
+        an access (``"read_only"`` for a dropped store)."""
         if store and storage.read_only:
             return "read_only"
         return TraceRegion(storage, self.transport, "dmi", cycles,
                            storage.base_address, storage.end_address)
+
+    def _device_trace_region(self, ctx, address: int, size: int, cycles: int,
+                             store: bool):
+        """The :class:`DeviceRegion` of a register access just served
+        in-warp, when its device lets a trace serve it (only the linked
+        MAC's FIFO data ports do); ``"device"`` otherwise."""
+        ethernet = ctx.ethernet
+        conditions = None if ethernet is None \
+            else ethernet.trace_conditions(address, size, store)
+        if conditions is None:
+            return "device"
+        return DeviceRegion(ethernet, self.transport, address, cycles,
+                            conditions)
 
     # -- in-warp peripheral access -------------------------------------------
     def _warp_device_read(self, ctx, uart_states, address, size, base_cycles,
@@ -950,18 +967,15 @@ class MicroBlazeWrapper(Module, SimComponent):
                     + (base_cycles + pre_access) * period >= rx_horizon:
                 offset = (address - ethernet.base_address) & 0xFFC
                 if offset in (ethernet.REG_RX_DATA, ethernet.REG_RX_LEN):
-                    if not ethernet._rx_frames:
+                    if not ethernet.rx_pending:
                         return _WARP_RETRY
                 elif offset not in (ethernet.REG_CONTROL,
                                     ethernet.REG_MAC_HIGH,
                                     ethernet.REG_MAC_LOW,
                                     ethernet.REG_TX_STATUS):
                     return _WARP_RETRY
-            transport._grant(DATA_MASTER)
             value = ethernet.target_read(address, size)
-            transport._account(DATA_MASTER, data_cycles)
-            if transport.kind == BUS_FUNCTIONAL:
-                transport.target_accesses += 1
+            transport.account_target(DATA_MASTER, 1, data_cycles)
             return value, data_cycles
         for record in uart_states:
             uart = record[0]
@@ -978,11 +992,8 @@ class MicroBlazeWrapper(Module, SimComponent):
             # replay them before reading cycle-varying FIFO state.
             self._warp_uart_replay(
                 record, warp_start + (base_cycles + pre_access) * period)
-            transport._grant(DATA_MASTER)
             value = uart.target_read(address, size)
-            transport._account(DATA_MASTER, data_cycles)
-            if transport.kind == BUS_FUNCTIONAL:
-                transport.target_accesses += 1
+            transport.account_target(DATA_MASTER, 1, data_cycles)
             return value, data_cycles
         return None
 
@@ -1015,7 +1026,7 @@ class MicroBlazeWrapper(Module, SimComponent):
             if offset == ethernet.REG_CONTROL \
                     and (value & ethernet.CONTROL_RX_IE) \
                     and not ethernet.rx_interrupt_enabled:
-                if ethernet._rx_frames:
+                if ethernet.rx_pending:
                     # Enabling with frames queued raises the RX interrupt
                     # on the store's own cycle: per-cycle territory.
                     return None
@@ -1034,7 +1045,6 @@ class MicroBlazeWrapper(Module, SimComponent):
                 # Both interact with delivery ordering (queue head pop,
                 # sticky-overflow W1C) -- only final before the horizon.
                 return _WARP_RETRY
-            transport._grant(DATA_MASTER)
             if offset == ethernet.REG_TX_GO:
                 # Commit the frame at the access edge's *virtual* time so
                 # the link derives the same delivery due time the
@@ -1046,9 +1056,7 @@ class MicroBlazeWrapper(Module, SimComponent):
                     ethernet.tx_commit_ps = None
             else:
                 ethernet.target_write(address, value, size)
-            transport._account(DATA_MASTER, data_cycles)
-            if transport.kind == BUS_FUNCTIONAL:
-                transport.target_accesses += 1
+            transport.account_target(DATA_MASTER, 1, data_cycles)
             return data_cycles
         intc = ctx.intc
         if intc is not None and not intc.detached \
@@ -1074,11 +1082,8 @@ class MicroBlazeWrapper(Module, SimComponent):
             data_cycles = pre_access + ACK_TO_MASTER_CYCLES
             if bound is not None and base_cycles + data_cycles > bound:
                 return _WARP_RETRY if link_limited else None
-            transport._grant(DATA_MASTER)
             intc.target_write(address, value, size)
-            transport._account(DATA_MASTER, data_cycles)
-            if transport.kind == BUS_FUNCTIONAL:
-                transport.target_accesses += 1
+            transport.account_target(DATA_MASTER, 1, data_cycles)
             # The acknowledge scheduled the output's fall; apply it
             # synchronously (the queued signal update re-applies the same
             # value, a no-op) and clear the core's latched request so the
@@ -1103,11 +1108,8 @@ class MicroBlazeWrapper(Module, SimComponent):
             self._warp_uart_replay(
                 record, warp_start + (base_cycles + pre_access) * period)
             record[5] = True
-            transport._grant(DATA_MASTER)
             uart.target_write(address, value, size)
-            transport._account(DATA_MASTER, data_cycles)
-            if transport.kind == BUS_FUNCTIONAL:
-                transport.target_accesses += 1
+            transport.account_target(DATA_MASTER, 1, data_cycles)
             return data_cycles
         return None
 

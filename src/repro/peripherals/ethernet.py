@@ -149,6 +149,29 @@ class EthernetMacProxy(OpbSlave):
     def rx_interrupt_enabled(self) -> bool:
         return bool(self.registers[self.REG_CONTROL] & self.CONTROL_RX_IE)
 
+    @property
+    def rx_pending(self) -> bool:
+        """True while a received frame waits in the RX queue."""
+        return bool(self._rx_frames)
+
+    def trace_conditions(self, address: int, size: int, store: bool):
+        """Whether a compiled ISS trace may serve this access itself.
+
+        Only the FIFO data ports of a linked MAC qualify, as aligned words:
+        a ``TX_DATA`` store only appends to the staging FIFO, and an
+        ``RX_DATA`` load reads the head frame, which deliveries (they
+        append behind it) cannot change while a frame is queued.  Returns
+        the names of the properties the trace must find true before the
+        access (``()`` for none), or None when the access stays on the
+        per-instruction path with its horizon and interrupt rules.
+        """
+        if self.link is None or size != 4:
+            return None
+        offset = address - self.base_address
+        if store:
+            return () if offset == self.REG_TX_DATA else None
+        return ("rx_pending",) if offset == self.REG_RX_DATA else None
+
     def tx_commit_floor_ps(self, now: int) -> int:
         """Earliest simulated time this MAC could commit a *new* frame.
 

@@ -28,13 +28,16 @@ from repro.iss import CPU_CYCLE, CPU_QUANTUM, cpu_levels, trace
 from repro.iss.functional import FunctionalMicroBlaze
 from repro.kernel import ENGINE_CLOCKED, ENGINE_GENERIC
 from repro.kernel.errors import AlignmentError
-from repro.platform import (VanillaNetPlatform, VariantName,
-                            all_systemc_variants, memory_map as mm,
-                            variant_config)
+from repro.peripherals import EthernetMacProxy
+from repro.platform import (VanillaNetCluster, VanillaNetPlatform,
+                            VariantName, all_systemc_variants,
+                            cluster_config, memory_map as mm, variant_config)
 from repro.software import (BootParams, build_boot_program,
-                            interrupt_program, memory_exercise_program)
+                            interrupt_program, memory_exercise_program,
+                            ping_echo_programs)
 from repro.software.clib import clib_source
 from repro.software.programs import BRAM_STACK_TOP, interrupt_source
+from test_differential_fuzz import observe_cluster
 
 SMALL_BOOT = BootParams(bss_bytes=32, kernel_copy_bytes=48,
                         page_clear_bytes=16, page_clear_count=1,
@@ -660,3 +663,56 @@ targets:
     lwi     r4, r20, 8          # console UART status
     or      r5, r5, r4""", setup=f"    li      r20, {mm.CONSOLE_UART_BASE:#x}")
         assert run_both_levels(program).trace_exits["device"] > 0
+
+
+class TestTracedDeviceAccesses:
+    """The linked MAC's FIFO data registers, served inside compiled
+    traces through the MAC's own hooks, with the fabric's bookkeeping
+    batched at the trace exits."""
+
+    @pytest.mark.parametrize("bus_level", [BUS_FUNCTIONAL, BUS_TRANSACTION])
+    def test_mac_counters_match_per_instruction_path(self, bus_level,
+                                                     monkeypatch):
+        # 64-word frames: each frame loop (ping's stage and read loops,
+        # the echo loop) compiles during the first frame at the default
+        # hot count and runs compiled for the other two.
+        programs = ping_echo_programs(payload=tuple(range(1, 65)), count=3)
+
+        def counters(hot_count):
+            monkeypatch.setattr(trace, "TRACE_HOT_COUNT", hot_count)
+            cluster = VanillaNetCluster(cluster_config(
+                2, engine=ENGINE_CLOCKED, bus_level=bus_level,
+                cpu_level=CPU_QUANTUM))
+            cluster.load_programs(programs)
+            assert cluster.run_until_halt(max_cycles=200_000)
+            nodes = []
+            for node in cluster.nodes:
+                mac, fabric = node.ethernet, node.bus_fabric
+                booked = {
+                    "mac": (mac.access_count, mac.transactions,
+                            mac.frames_sent, mac.frames_received,
+                            mac.frames_dropped),
+                    "fabric": (fabric.transfer_count, fabric.cycles_spent,
+                               fabric.transactions_granted,
+                               dict(fabric.per_master_transfers),
+                               dict(fabric.per_master_transactions)),
+                }
+                if bus_level == BUS_FUNCTIONAL:
+                    booked["direct"] = (fabric.dmi_hits,
+                                        fabric.target_accesses)
+                nodes.append(booked)
+            device_exits = sum(node.statistics.trace_exits["device"]
+                               for node in cluster.nodes)
+            return observe_cluster(cluster), nodes, device_exits
+
+        default = trace.TRACE_HOT_COUNT
+        per_instruction = counters(10 ** 9)
+        with monkeypatch.context() as patch:
+            # Traces that leave at every FIFO access instead.
+            patch.setattr(EthernetMacProxy, "trace_conditions",
+                          lambda *_args: None)
+            unserved = counters(default)
+        traced = counters(default)
+        assert per_instruction[2] == 0
+        assert traced[:2] == unserved[:2] == per_instruction[:2]
+        assert traced[2] < unserved[2]

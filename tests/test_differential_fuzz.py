@@ -35,9 +35,10 @@ gate, not a soak) and raised in the dedicated CI fuzz job through
 """
 
 import os
+import traceback
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from repro.bus import bus_levels
 from repro.datatypes import WORD_MASK
@@ -65,6 +66,11 @@ FUZZ_SETTINGS = settings(
     max_examples=MAX_EXAMPLES,
     deadline=None,                      # platform builds take ~1s
     suppress_health_check=[HealthCheck.too_slow],
+    # Shrinking stays on; the explain phase goes, because it traces every
+    # run after the first failure line by line, which slows a simulation
+    # so much that shrinking one raising example took Hypothesis's whole
+    # five-minute shrink budget.
+    phases=tuple(phase for phase in Phase if phase is not Phase.explain),
 )
 
 
@@ -104,7 +110,32 @@ def observe_cluster(cluster) -> dict:
         "frames_delivered": cluster.link.frames_delivered,
         "statistics": [observe_statistics(node.statistics)
                        for node in cluster.nodes],
+        "macs": [(node.ethernet.access_count, node.ethernet.transactions,
+                  node.ethernet.frames_sent, node.ethernet.frames_received,
+                  node.ethernet.frames_dropped) for node in cluster.nodes],
     }
+
+
+def observe_combos(run) -> dict:
+    """``run(engine, bus_level, cpu_level)``'s observation on every combo.
+
+    A combo that raises fails the test with an ``AssertionError`` naming
+    the combo and carrying the formatted traceback as text.  It is raised
+    only after the original exception is gone: Hypothesis keeps every
+    failing example's exception while it shrinks, and a traceback through
+    the simulation keeps that example's platforms alive, so a raising
+    combo used to grow the process by gigabytes before anything printed.
+    """
+    results = {}
+    for combo in COMBOS:
+        failure = None
+        try:
+            results[combo] = run(*combo)
+        except Exception:
+            failure = f"{combo_id(combo)} raised:\n{traceback.format_exc()}"
+        if failure is not None:
+            raise AssertionError(failure)
+    return results
 
 
 def assert_identical(results: dict) -> None:
@@ -121,14 +152,14 @@ def assert_identical(results: dict) -> None:
 # ---------------------------------------------------------------------- #
 class TestClusterSeamIdentity:
     def test_two_node_ping_echo_identical_on_every_combo(self):
-        results = {}
-        for engine, bus_level, cpu_level in COMBOS:
+        def run(engine, bus_level, cpu_level):
             cluster = VanillaNetCluster(cluster_config(
                 2, engine=engine, bus_level=bus_level, cpu_level=cpu_level))
             cluster.load_programs(ping_echo_programs(count=2))
-            finished = cluster.run_until_halt(max_cycles=100_000)
-            assert finished, combo_id((engine, bus_level, cpu_level))
-            results[engine, bus_level, cpu_level] = observe_cluster(cluster)
+            assert cluster.run_until_halt(max_cycles=100_000)
+            return observe_cluster(cluster)
+
+        results = observe_combos(run)
         reference = results[COMBOS[0]]
         assert reference["consoles"] == ["ping: 2 replies ok\n",
                                          "echo: 2 frames bounced\n"]
@@ -264,20 +295,20 @@ class TestInstructionStreamFuzz:
     @given(seeds=_seeds, stream=_stream, passes=_passes)
     def test_streams_identical_on_every_combo(self, seeds, stream, passes):
         program = stream_program(seeds, stream, passes)
-        results = {}
+
+        def run(engine, bus_level, cpu_level):
+            platform = VanillaNetPlatform(variant_config(
+                VariantName.NATIVE_TYPES, engine=engine,
+                bus_level=bus_level, cpu_level=cpu_level))
+            platform.load_program(program)
+            assert platform.run_until_halt(max_cycles=50_000,
+                                           chunk_cycles=1_000)
+            return observe_platform(platform)
+
         with pytest.MonkeyPatch.context() as patch:
             # Every path compiles into a trace the first time it runs.
             patch.setattr(trace, "TRACE_HOT_COUNT", 1)
-            for engine, bus_level, cpu_level in COMBOS:
-                platform = VanillaNetPlatform(variant_config(
-                    VariantName.NATIVE_TYPES, engine=engine,
-                    bus_level=bus_level, cpu_level=cpu_level))
-                platform.load_program(program)
-                finished = platform.run_until_halt(max_cycles=50_000,
-                                                   chunk_cycles=1_000)
-                assert finished, combo_id((engine, bus_level, cpu_level))
-                results[engine, bus_level, cpu_level] = \
-                    observe_platform(platform)
+            results = observe_combos(run)
         assert_identical(results)
 
 
@@ -296,16 +327,21 @@ _latency = st.sampled_from((1, 2, 8, 13))
 def run_traffic(programs, latency, chunk_cycles=2_000,
                 max_cycles=150_000) -> dict:
     """One program pair through all 12 combos; identical observations."""
-    results = {}
-    for engine, bus_level, cpu_level in COMBOS:
+    def run(engine, bus_level, cpu_level):
         cluster = VanillaNetCluster(cluster_config(
             2, engine=engine, bus_level=bus_level, cpu_level=cpu_level,
             link_latency_cycles=latency))
         cluster.load_programs(programs)
-        finished = cluster.run_until_halt(max_cycles=max_cycles,
-                                          chunk_cycles=chunk_cycles)
-        assert finished, combo_id((engine, bus_level, cpu_level))
-        results[engine, bus_level, cpu_level] = observe_cluster(cluster)
+        assert cluster.run_until_halt(max_cycles=max_cycles,
+                                      chunk_cycles=chunk_cycles)
+        return observe_cluster(cluster)
+
+    with pytest.MonkeyPatch.context() as patch:
+        # Every path compiles into a trace the first time it runs, so the
+        # frame loops serve their FIFO words inside traces even on short
+        # payloads.
+        patch.setattr(trace, "TRACE_HOT_COUNT", 1)
+        results = observe_combos(run)
     assert_identical(results)
     return results[COMBOS[0]]
 
