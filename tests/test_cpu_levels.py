@@ -685,25 +685,21 @@ class TestTracedDeviceAccesses:
                 cpu_level=CPU_QUANTUM))
             cluster.load_programs(programs)
             assert cluster.run_until_halt(max_cycles=200_000)
-            nodes = []
+            # ``observe_cluster`` holds each MAC's access, transaction
+            # and frame counters; the fabrics' come on top.
+            fabrics = []
             for node in cluster.nodes:
-                mac, fabric = node.ethernet, node.bus_fabric
-                booked = {
-                    "mac": (mac.access_count, mac.transactions,
-                            mac.frames_sent, mac.frames_received,
-                            mac.frames_dropped),
-                    "fabric": (fabric.transfer_count, fabric.cycles_spent,
-                               fabric.transactions_granted,
-                               dict(fabric.per_master_transfers),
-                               dict(fabric.per_master_transactions)),
-                }
+                fabric = node.bus_fabric
+                booked = [fabric.transfer_count, fabric.cycles_spent,
+                          fabric.transactions_granted,
+                          dict(fabric.per_master_transfers),
+                          dict(fabric.per_master_transactions)]
                 if bus_level == BUS_FUNCTIONAL:
-                    booked["direct"] = (fabric.dmi_hits,
-                                        fabric.target_accesses)
-                nodes.append(booked)
+                    booked += [fabric.dmi_hits, fabric.target_accesses]
+                fabrics.append(booked)
             device_exits = sum(node.statistics.trace_exits["device"]
                                for node in cluster.nodes)
-            return observe_cluster(cluster), nodes, device_exits
+            return observe_cluster(cluster), fabrics, device_exits
 
         default = trace.TRACE_HOT_COUNT
         per_instruction = counters(10 ** 9)

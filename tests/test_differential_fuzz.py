@@ -17,9 +17,15 @@ the claim honest against programs nobody wrote:
   first time it runs at the quantum level;
 * hypothesis-generated frame traffic (payload shapes x ping counts x
   link latencies, including back-to-back bursts inside one latency
-  window) on a two-node cluster;
+  window) on a two-node cluster, with every path compiled on first use
+  (so the frame loops' MAC FIFO accesses run inside traces), comparing
+  each MAC's access, transaction and frame counters too;
 * deterministic link-latency corner cases: latency=1 (the degenerate
   warp horizon) and frames delivered exactly on a quantum boundary.
+
+A combo that raises fails the test as an ``AssertionError`` naming the
+combo, with the traceback as text, so Hypothesis shrinks the example
+without keeping its platforms alive (see :func:`observe_combos`).
 
 Reproducing a failure: hypothesis prints the falsifying example and a
 ``reproduce_failure`` blob on stderr, and stores it in ``.hypothesis/``
