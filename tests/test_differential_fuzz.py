@@ -74,7 +74,7 @@ FUZZ_SETTINGS = settings(
     suppress_health_check=[HealthCheck.too_slow],
     # Shrinking stays on; the explain phase goes, because it traces every
     # run after the first failure line by line, which slows a simulation
-    # so much that shrinking one raising example took Hypothesis's whole
+    # so much that shrinking one raising example can use up Hypothesis's
     # five-minute shrink budget.
     phases=tuple(phase for phase in Phase if phase is not Phase.explain),
 )
@@ -129,8 +129,8 @@ def observe_combos(run) -> dict:
     the combo and carrying the formatted traceback as text.  It is raised
     only after the original exception is gone: Hypothesis keeps every
     failing example's exception while it shrinks, and a traceback through
-    the simulation keeps that example's platforms alive, so a raising
-    combo used to grow the process by gigabytes before anything printed.
+    the simulation would keep that example's platforms (about 70 MB each)
+    alive with it.
     """
     results = {}
     for combo in COMBOS:
