@@ -160,17 +160,9 @@ class BusTransport(SimComponent):
         with no side effect other than the backing store's, or ``None``
         when the access needs the timed transfer path (cycle-varying
         peripheral state, pin-level protocol).  Only the functional
-        fabric's DMI regions qualify; the quantum-mode ISS wrapper breaks
-        its time quantum whenever this returns ``None``.
-        """
-        return None
-
-    def direct_write(self, master_id: int, address: int, value: int,
-                     size: int = 4):
-        """Zero-time counterpart of :meth:`direct_read` for writes.
-
-        Returns the cycle annotation, or ``None`` when the access must go
-        through the timed transfer path.
+        fabric's DMI regions qualify; the quantum-mode ISS wrapper fetches
+        through it and breaks its time quantum whenever this returns
+        ``None``.
         """
         return None
 
@@ -451,26 +443,13 @@ class FunctionalFabric(TransactionFabric):
         self._account(master_id, cycles)
         return value, cycles
 
-    def direct_write(self, master_id: int, address: int, value: int,
-                     size: int = 4):
-        """DMI write counterpart of :meth:`direct_read`; None outside DMI."""
-        byte_lane_mask(address, size)
-        storage, slave = self.dmi_region(address)
-        if storage is None:
-            return None
-        self._grant(master_id)
-        if not storage.read_only:
-            storage.write(address, value, size)
-        self.dmi_hits += 1
-        cycles = protocol_transfer_cycles(slave.latency, slave.gated)
-        self._account(master_id, cycles)
-        return cycles
-
     def account_direct(self, master_id: int, transfers: int,
                        cycles: int) -> None:
         """Book ``transfers`` DMI transfers of ``cycles`` cycles in total at
-        once, exactly as that many :meth:`direct_read`/:meth:`direct_write`
-        calls would (the ISS's compiled traces batch theirs)."""
+        once, exactly as that many DMI hits of :meth:`read`/:meth:`write`
+        would, without the kernel.  The quantum-level ISS serves its data
+        accesses from the :meth:`dmi_region` store itself and books them
+        here, one per access or batched per compiled-trace exit."""
         self._grant(master_id, transfers)
         self.dmi_hits += transfers
         self._account(master_id, cycles, transfers)
