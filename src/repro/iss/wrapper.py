@@ -954,26 +954,14 @@ class MicroBlazeWrapper(Module, SimComponent):
             data_cycles = pre_access + ACK_TO_MASTER_CYCLES
             if bound is not None and base_cycles + data_cycles > bound:
                 return _WARP_RETRY if link_limited else None
-            # MAC state is only final strictly before the delivery horizon:
-            # a frame may land exactly there and per-cycle reads at that
-            # edge would already see it.  Head-frame reads are exempt while
-            # the RX queue is non-empty -- deliveries append behind the
-            # head, so ``RX_LEN``/``RX_DATA`` return the same values in
-            # either order (this is what lets the masked interrupt
-            # handler's drain loop stay in-warp).  Registers deliveries
-            # never touch are exempt outright; emptiness and count
-            # observers (``STATUS``, ``RX_STATUS``) stay pinned.
+            # MAC state is only final strictly before the delivery horizon;
+            # on or past it the MAC says which reads a delivery cannot
+            # change (this is what lets the masked interrupt handler's
+            # drain loop stay in-warp).
             if rx_horizon is not None and warp_start \
-                    + (base_cycles + pre_access) * period >= rx_horizon:
-                offset = (address - ethernet.base_address) & 0xFFC
-                if offset in (ethernet.REG_RX_DATA, ethernet.REG_RX_LEN):
-                    if not ethernet.rx_pending:
-                        return _WARP_RETRY
-                elif offset not in (ethernet.REG_CONTROL,
-                                    ethernet.REG_MAC_HIGH,
-                                    ethernet.REG_MAC_LOW,
-                                    ethernet.REG_TX_STATUS):
-                    return _WARP_RETRY
+                    + (base_cycles + pre_access) * period >= rx_horizon \
+                    and not ethernet.served_ahead_of_delivery(address, False):
+                return _WARP_RETRY
             value = ethernet.target_read(address, size)
             transport.account_target(DATA_MASTER, 1, data_cycles)
             return value, data_cycles
@@ -1040,10 +1028,10 @@ class MicroBlazeWrapper(Module, SimComponent):
                 # this instruction: the next sub-burst then recomputes its
                 # bound under the newly horizon-limited regime.
                 self._warp_post = "flush"
-            elif offset in (ethernet.REG_RX_ACK, ethernet.REG_STATUS) \
-                    and rx_horizon is not None and edge_ps >= rx_horizon:
-                # Both interact with delivery ordering (queue head pop,
-                # sticky-overflow W1C) -- only final before the horizon.
+            elif rx_horizon is not None and edge_ps >= rx_horizon \
+                    and not ethernet.served_ahead_of_delivery(address, True):
+                # A store that interacts with delivery ordering (queue head
+                # pop, sticky-overflow W1C) is only final before the horizon.
                 return _WARP_RETRY
             if offset == ethernet.REG_TX_GO:
                 # Commit the frame at the access edge's *virtual* time so

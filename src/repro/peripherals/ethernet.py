@@ -154,23 +154,65 @@ class EthernetMacProxy(OpbSlave):
         """True while a received frame waits in the RX queue."""
         return bool(self._rx_frames)
 
+    def delivery_conditions(self, address: int, store: bool):
+        """What lets this access be served ahead of a frame delivery.
+
+        A frame may land at the link's next delivery time, and per-cycle
+        accesses on that edge already see it.  An access served on or
+        after that edge before the delivery is exact only if the delivery
+        changes neither what it reads nor what it does.  Deliveries
+        append behind the head of the RX queue, so the head-frame reads
+        (``RX_LEN``, ``RX_DATA``) are exact while a frame is queued, and
+        reads of ``CONTROL``, the MAC address and ``TX_STATUS``, which
+        deliveries never touch, need nothing.  Every other read (the
+        emptiness and count observers ``STATUS`` and ``RX_STATUS`` among
+        them) waits, and so do the stores that pop the head or clear the
+        sticky overflow (``RX_ACK``, ``STATUS``).  Returns the names of
+        the properties that must be true (``()`` for none), or None when
+        the access waits for the delivery.
+        """
+        offset = (address - self.base_address) & 0xFFC
+        if store:
+            if offset in (self.REG_RX_ACK, self.REG_STATUS):
+                return None
+            return ()
+        if offset in (self.REG_RX_DATA, self.REG_RX_LEN):
+            return ("rx_pending",)
+        if offset in (self.REG_CONTROL, self.REG_MAC_HIGH, self.REG_MAC_LOW,
+                      self.REG_TX_STATUS):
+            return ()
+        return None
+
+    def served_ahead_of_delivery(self, address: int, store: bool) -> bool:
+        """True when :meth:`delivery_conditions` lets this access be
+        served now, ahead of a delivery due on or before its edge."""
+        conditions = self.delivery_conditions(address, store)
+        if conditions is None:
+            return False
+        for name in conditions:
+            if not getattr(self, name):
+                return False
+        return True
+
     def trace_conditions(self, address: int, size: int, store: bool):
         """Whether a compiled ISS trace may serve this access itself.
 
-        Only the FIFO data ports of a linked MAC qualify, as aligned words:
-        a ``TX_DATA`` store only appends to the staging FIFO, and an
-        ``RX_DATA`` load reads the head frame, which deliveries (they
-        append behind it) cannot change while a frame is queued.  Returns
-        the names of the properties the trace must find true before the
-        access (``()`` for none), or None when the access stays on the
-        per-instruction path with its horizon and interrupt rules.
+        A trace runs ahead of the link's next delivery without checking
+        time, so it guards each access it serves with the access's
+        :meth:`delivery_conditions`.  Only the FIFO data ports of a linked
+        MAC qualify, as aligned words: a ``TX_DATA`` store only appends to
+        the staging FIFO and an ``RX_DATA`` load only reads the head
+        frame, so neither moves an interrupt edge or a commit time.
+        Returns the names of the properties the trace must find true
+        before the access (``()`` for none), or None when the access stays
+        on the per-instruction path.
         """
         if self.link is None or size != 4:
             return None
         offset = address - self.base_address
-        if store:
-            return () if offset == self.REG_TX_DATA else None
-        return ("rx_pending",) if offset == self.REG_RX_DATA else None
+        if offset != (self.REG_TX_DATA if store else self.REG_RX_DATA):
+            return None
+        return self.delivery_conditions(address, store)
 
     def tx_commit_floor_ps(self, now: int) -> int:
         """Earliest simulated time this MAC could commit a *new* frame.

@@ -442,3 +442,48 @@ class TestEthernetMacFrames:
         mac.write_register(mac.REG_STATUS, mac.STATUS_RX_OVERFLOW, 4)
         assert not (mac.read_register(mac.REG_STATUS, 4)
                     & mac.STATUS_RX_OVERFLOW)
+
+    def test_accesses_served_ahead_of_a_delivery(self):
+        mac, _ = self.make_mac()
+        base = mac.base_address
+        ahead = mac.served_ahead_of_delivery
+        # Reads of registers deliveries never touch, and stores other
+        # than the queue pop and the status W1C, need nothing.
+        for offset in (mac.REG_CONTROL, mac.REG_MAC_HIGH, mac.REG_MAC_LOW,
+                       mac.REG_TX_STATUS):
+            assert ahead(base + offset, False)
+        for offset in (mac.REG_CONTROL, mac.REG_TX_DATA, mac.REG_TX_GO):
+            assert ahead(base + offset, True)
+        for offset in (mac.REG_STATUS, mac.REG_RX_STATUS):
+            assert not ahead(base + offset, False)
+        for offset in (mac.REG_RX_ACK, mac.REG_STATUS):
+            assert not ahead(base + offset, True)
+        # Head-frame reads wait only while the RX queue is empty.
+        for offset in (mac.REG_RX_DATA, mac.REG_RX_LEN):
+            assert not ahead(base + offset, False)
+            assert not ahead(base + offset + 0x2, False)
+        mac.deliver_frame(b"\x01\x02\x03\x04")
+        for offset in (mac.REG_RX_DATA, mac.REG_RX_LEN):
+            assert ahead(base + offset, False)
+
+    def test_traces_serve_only_the_fifo_data_words(self):
+        mac, _ = self.make_mac()
+        base = mac.base_address
+        # Under the same guard as the in-warp path past the horizon.
+        assert mac.trace_conditions(base + mac.REG_TX_DATA, 4, True) == () \
+            == mac.delivery_conditions(base + mac.REG_TX_DATA, True)
+        assert mac.trace_conditions(base + mac.REG_RX_DATA, 4, False) \
+            == ("rx_pending",) \
+            == mac.delivery_conditions(base + mac.REG_RX_DATA, False)
+        for offset, store in ((mac.REG_RX_LEN, False), (mac.REG_TX_GO, True),
+                              (mac.REG_CONTROL, True),
+                              (mac.REG_CONTROL, False),
+                              (mac.REG_STATUS, False),
+                              (mac.REG_RX_ACK, True),
+                              (mac.REG_TX_DATA, False),
+                              (mac.REG_RX_DATA, True)):
+            assert mac.trace_conditions(base + offset, 4, store) is None
+        assert mac.trace_conditions(base + mac.REG_RX_DATA, 2, False) is None
+        unlinked = build_platform().ethernet
+        assert unlinked.trace_conditions(
+            unlinked.base_address + unlinked.REG_TX_DATA, 4, True) is None
