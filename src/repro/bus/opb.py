@@ -38,6 +38,15 @@ DATA_MASTER = 2
 
 _TRANSFER_TIMEOUT_CYCLES = 1024
 
+#: Answers of :meth:`OpbSlave.warp_access` besides a read value and None:
+#: the access has to wait, unperformed, until the master surfaces at its
+#: delivery horizon (``WARP_RETRY``); the store was performed and the
+#: master must surface there before its next instruction (``WARP_FLUSH``);
+#: the store dropped the master's interrupt request (``WARP_ACK``).
+WARP_RETRY = "retry"
+WARP_FLUSH = "flush"
+WARP_ACK = "ack"
+
 
 class OpbMasterPort(SimComponent):
     """Master-side helper that runs OPB transfers as generators.
@@ -401,6 +410,40 @@ class OpbSlave(Module, SimComponent):
 
     def write_register(self, offset: int, value: int, size: int) -> None:
         """Register write hook; subclasses override."""
+
+    # -- service ahead of the clock (TLM-2.0 temporal decoupling) -----------
+    # A quantum-level master that runs ahead of the kernel clock performs
+    # an access itself, through these hooks, when the slave can tell that
+    # the access comes out as it would on the per-cycle path; each slave
+    # keeps that rule next to the state it reasons about.  The defaults
+    # serve nothing: the master ends its warp and the per-cycle path
+    # performs the access.
+    def warp_serves(self, address: int, value: Optional[int]) -> bool:
+        """Whether a running-ahead master may perform this access (a read
+        when ``value`` is None) itself; asked before the master checks
+        that the transfer fits its bound."""
+        return False
+
+    def warp_access(self, address: int, value: Optional[int], size: int,
+                    edge_ps: int, horizon_ps: Optional[int]):
+        """Perform an access :meth:`warp_serves` approved.
+
+        ``edge_ps`` is the simulated time the protocol lands the access
+        on, ahead of the kernel clock; ``horizon_ps`` the earliest time a
+        link may deliver a frame to the master's node (None: unlinked).
+        Returns the read value, or after a store None or one of
+        ``WARP_FLUSH``/``WARP_ACK``; ``WARP_RETRY`` performs nothing.
+        """
+        if value is None:
+            return self.target_read(address, size)
+        self.target_write(address, value, size)
+        return None
+
+    def trace_conditions(self, address: int, size: int, store: bool):
+        """Names of the properties that let a compiled ISS trace perform
+        this access itself (``()`` for none), or None when the trace has
+        to end in front of it; see :mod:`repro.iss.trace`."""
+        return None
 
     # -- checkpoint / restore ----------------------------------------------------
     def capture_state(self) -> dict:

@@ -81,6 +81,11 @@ REQUEST_TO_GRANT_CYCLES = 1
 #: observing it (the master samples the ack on the following clock edge).
 ACK_TO_MASTER_CYCLES = 1
 
+#: Page size and largest window of the slave index: whole 256-byte pages
+#: make up every register peripheral's window, the largest 4 KB.
+_PAGE = 0x100
+_LARGEST_INDEXED = 0x1000
+
 
 def bus_levels() -> tuple[str, ...]:
     """All bus-level selector names, signal (reference) first."""
@@ -124,6 +129,9 @@ class BusTransport(SimComponent):
     def __init__(self) -> None:
         #: Slaves attached to this fabric, in registration order.
         self.slaves: list = []
+        #: Register windows by ``address // _PAGE`` (see
+        #: :meth:`register_slave`).
+        self._pages: dict = {}
         #: Completed transfers and total cycles spent, for statistics.
         self.transfer_count = 0
         self.cycles_spent = 0
@@ -132,11 +140,25 @@ class BusTransport(SimComponent):
 
     # -- wiring ---------------------------------------------------------------
     def register_slave(self, slave) -> None:
-        """Attach a slave (an :class:`~repro.bus.opb.OpbSlave`)."""
+        """Attach a slave (an :class:`~repro.bus.opb.OpbSlave`).
+
+        A window of whole pages up to ``_LARGEST_INDEXED`` bytes (every
+        register peripheral's) is indexed page by page, so
+        :meth:`slave_for` finds it with one dictionary lookup; memories
+        are found by a scan.
+        """
         self.slaves.append(slave)
+        if slave.base_address % _PAGE == 0 and slave.size % _PAGE == 0 \
+                and slave.size <= _LARGEST_INDEXED:
+            for page in range(slave.base_address // _PAGE,
+                              slave.end_address // _PAGE):
+                self._pages[page] = slave
 
     def slave_for(self, address: int):
         """The attached slave claiming ``address``; None when unmapped."""
+        slave = self._pages.get(address // _PAGE)
+        if slave is not None:
+            return None if slave.detached else slave
         for slave in self.slaves:
             if not slave.detached and slave.claims(address):
                 return slave

@@ -656,6 +656,7 @@ class MicroBlazeCore(SimComponent):
             "per_mnemonic": dict(stats.per_mnemonic),
             "per_function": dict(stats.per_function),
             "trace_exits": dict(stats.trace_exits),
+            "warp_ends": dict(stats.warp_ends),
         }
 
     def restore_state(self, state: dict) -> None:
@@ -680,6 +681,7 @@ class MicroBlazeCore(SimComponent):
         stats.per_mnemonic = Counter(state["per_mnemonic"])
         stats.per_function = Counter(state["per_function"])
         stats.trace_exits = Counter(state["trace_exits"])
+        stats.warp_ends = Counter(state["warp_ends"])
         # Any decoded entries compiled against the pre-restore state are
         # stale; drop them (they are rebuilt deterministically on demand).
         self.clear_decoded_cache()

@@ -50,6 +50,8 @@ class ExecutionStatistics:
         #: Why each trace execution ended, and why a trace too long for
         #: the warp's remaining budget or bound was not run.
         self.trace_exits: Counter[str] = Counter()
+        #: Why each time quantum ended (one count per warp).
+        self.warp_ends: Counter[str] = Counter()
 
     # -- recording ---------------------------------------------------------
     def attach_symbols(self, symbols: SymbolTable) -> None:
@@ -140,6 +142,7 @@ class ExecutionStatistics:
         self.traces_compiled += other.traces_compiled
         self.trace_runs += other.trace_runs
         self.trace_exits.update(other.trace_exits)
+        self.warp_ends.update(other.warp_ends)
         self.per_mnemonic.update(other.per_mnemonic)
         self.per_function.update(other.per_function)
 
@@ -163,6 +166,7 @@ class ExecutionStatistics:
             "traces_compiled": self.traces_compiled,
             "trace_runs": self.trace_runs,
             "trace_exits": dict(self.trace_exits),
+            "warp_ends": dict(self.warp_ends),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -31,10 +31,10 @@ from __future__ import annotations
 from typing import Optional
 
 from ..bus.lmb import LMB_ACCESS_CYCLES, LocalMemoryBus
-from ..bus.opb import DATA_MASTER, INSTRUCTION_MASTER
+from ..bus.opb import DATA_MASTER, INSTRUCTION_MASTER, WARP_ACK, WARP_RETRY
 from ..bus.transport import (ACK_TO_MASTER_CYCLES, BUS_FUNCTIONAL,
-                             BUS_TRANSACTION, REQUEST_TO_GRANT_CYCLES,
-                             BusTransport, protocol_transfer_cycles)
+                             BUS_TRANSACTION, BusTransport,
+                             protocol_transfer_cycles)
 from ..datatypes import WORD_MASK
 from ..kernel.component import SimComponent
 from ..kernel.errors import ModelError
@@ -54,10 +54,9 @@ INTERRUPT_ENTRY_CYCLES = 2
 #: Cycle cost of a dispatcher-served access (hoisted for the warp loop).
 DISPATCHER_ACCESS_CYCLES = MemoryDispatcher.ACCESS_CYCLES
 
-#: Sentinel returned by the in-warp peripheral access helpers when the
-#: access only has to wait for the link's delivery horizon to advance:
-#: the warp flushes the current sub-burst and retries the instruction.
-_WARP_RETRY = object()
+#: Why a warp ends in front of an instruction that no trace could hold
+#: either; a path being recorded stops there.
+_REFUSALS = frozenset(("device", "ie_guard", "misaligned", "read_only"))
 
 #: CPU abstraction-level selectors (``ModelConfig.cpu_level``), mirroring
 #: the ``engine`` and ``bus_level`` seams.  ``"cycle"`` is the per-cycle
@@ -158,11 +157,6 @@ class MicroBlazeWrapper(Module, SimComponent):
         self._fetched_word = 0
         self._load_value = 0
         self._instruction_cycles = 0
-        #: Deferred action requested by an in-warp device access, applied
-        #: by the burst loop after the instruction retires: ``"flush"``
-        #: (surface at the horizon before continuing) or ``"ack"`` (an
-        #: interrupt acknowledge landed; drop the IE guard).
-        self._warp_post = None
         self.main_process = self.sc_thread(
             self._execute_thread, sensitive=[clock.posedge_event()],
             name="execute")
@@ -362,42 +356,14 @@ class MicroBlazeWrapper(Module, SimComponent):
             # Interrupt service in progress: the request is latched in the
             # core and MSR.IE is off, so it cannot be (re-)taken.  The warp
             # may run the handler body -- it ends before any instruction
-            # that could set MSR.IE, and the controller acknowledge is an
-            # unknown device in-warp (the IAR write ends the warp and
-            # replays per-cycle), so entry and exit edges stay exact.
+            # that could set MSR.IE unless the controller acknowledge
+            # dropped the request in-warp first (``WARP_ACK``), so entry
+            # and exit edges stay exact.
             servicing = True
-        intc = ctx.intc
-        if intc is not None:
-            # Outside service no interrupt may be in flight: the output low
-            # and stable, no enabled pending source, and every asserted
-            # input latched (so re-polling during the warp would change
-            # nothing).  In service the output must be high, stable, and
-            # consistent with the latched state -- the detached poll would
-            # hold it exactly there.
-            irq = intc.irq
-            if irq._update_requested and irq._next != irq._current:
-                return False
-            level = 1 if (intc.mer & 0x1) and (intc.isr & intc.ier) else 0
-            if irq._current != level:
-                return False
-            if level and not servicing:
-                return False
-            for bit, source in intc._inputs:
-                if source._update_requested \
-                        and source._next != source._current:
-                    return False
-                if source._current and not (intc.isr & (1 << bit)):
-                    return False
+        if ctx.intc is not None and not ctx.intc.warp_ready(servicing):
+            return False
         for uart in ctx.uarts:
-            # Transmit thread asleep on its own timeout and no interrupt
-            # generation the warp could delay.  A non-empty TX FIFO is
-            # fine: the warp replays the drain wakes it runs across.
-            thread = uart._tx_thread
-            if not thread._waiting_time:
-                return False
-            if thread._timeout_event._pending_kind != "timed":
-                return False
-            if uart.interrupt_enabled:
+            if not uart.warp_ready():
                 return False
         # The next fetch must be servable without simulated time, otherwise
         # detaching and reverting every cycle would only add overhead.
@@ -455,10 +421,12 @@ class MicroBlazeWrapper(Module, SimComponent):
         surfaces there, lets due frames deliver, and either keeps warping
         (horizon moved, nothing arrived) or ends so the re-attached
         interrupt wiring latches the RX interrupt on the exact per-cycle
-        cycle.  UART and linked-MAC register accesses are served in-line
-        with full fabric bookkeeping instead of ending the warp; accesses
-        that observe RX state are pinned strictly behind the horizon, and
-        ones that could move an interrupt edge end the warp first.
+        cycle.  Device register accesses their slave approves
+        (``warp_serves``) are served in-line with full fabric bookkeeping
+        instead of ending the warp; the slave pins accesses that observe
+        RX state behind the horizon, and ones that could move an
+        interrupt edge end the warp first.  ``stats.warp_ends`` counts
+        why each warp ended.
 
         Returns True when at least one cycle was charged; False leaves
         the kernel state untouched so the caller runs the ordinary
@@ -476,22 +444,8 @@ class MicroBlazeWrapper(Module, SimComponent):
         detached = tuple(posedge._static_procs)
         for process in detached:
             posedge.remove_static(process)
-        # Park the UART transmit timeouts: mark the queued notification
-        # stale instead of cancelling (cancel rebuilds the generic heap).
-        # Each record also tracks the thread's drain-wake grid so in-warp
-        # register accesses can replay the wakes that precede them:
-        # [uart, event, parked_pending_ps, sleep_ps, next_wake_ps, exact].
-        # ``exact`` starts True when characters are already buffered (their
-        # drains are observable) and latches True on any in-warp access;
-        # an exact uart replays every wake instead of skipping to now.
-        uart_states = []
         for uart in ctx.uarts:
-            event = uart._tx_thread._timeout_event
-            uart_states.append([uart, event, event._pending_time,
-                                uart.tx_sleep_cycles * period,
-                                event._pending_time,
-                                not uart.tx_fifo.empty])
-            event._pending_kind = None
+            uart.park()
         # ---- warp horizon ---------------------------------------------
         ethernet = ctx.ethernet
         link = None
@@ -599,9 +553,8 @@ class MicroBlazeWrapper(Module, SimComponent):
             # Set once a trace did not fit: the rest of the sub-burst runs
             # per instruction up to the bound or budget.
             tail = False
-            # Why the warp ends in front of the current instruction, when
-            # no trace could hold it either.
-            refusal = None
+            # Why the sub-burst ended ("budget" when it ran out).
+            ended = None
             while executed < allowed:
                 pc = core.pc
                 boundary = core._branch_after_delay is None \
@@ -620,11 +573,13 @@ class MicroBlazeWrapper(Module, SimComponent):
                         self._install_trace(recording, pc, stop, epoch)
                         recording = None
                 if pc == halt and core._branch_after_delay is None:
+                    ended = "halt"
                     break
                 if hooked is not None and pc in hooked \
                         and interceptor.maybe_intercept(core) is not None:
                     pc = core.pc
                     if pc == halt and core._branch_after_delay is None:
+                        ended = "halt"
                         break
                 entry = decoded.get(pc)
                 if entry is not None and entry.fetch_epoch == epoch:
@@ -638,6 +593,7 @@ class MicroBlazeWrapper(Module, SimComponent):
                     else:
                         served = transport.direct_read(INSTRUCTION_MASTER, pc, 4)
                         if served is None:
+                            ended = "fetch"
                             break
                         word, fetch_cycles = served
                     if entry is None:
@@ -687,20 +643,19 @@ class MicroBlazeWrapper(Module, SimComponent):
                     # that could set MSR.IE, so the re-enable (and the
                     # re-taken interrupt entry behind it) replays on the
                     # exact per-cycle edge.
-                    refusal = "ie_guard"
+                    ended = "ie_guard"
                     break
                 # The data access goes first, as on the per-cycle path.
                 # Misaligned, read-only and unservable targets end the warp
                 # so the per-cycle path replays them with full diagnostics.
                 data_cycles = 0
-                region = None
+                region = post = dmi = slave = None
                 if entry.is_load or entry.is_store:
                     address = core._effective_address(entry.instruction)
                     size = entry.access_size
                     if size > 1 and address % size:
-                        refusal = "misaligned"
+                        ended = "misaligned"
                         break
-                    dmi = None
                     if bram_lo <= address and address + size <= bram_end:
                         region = bram_region
                     elif main_lo <= address and address + size <= main_end:
@@ -708,103 +663,104 @@ class MicroBlazeWrapper(Module, SimComponent):
                     elif dmi_region is not None:
                         # One lookup serves the bound check and the access.
                         dmi, slave = dmi_region(address)
-                        if dmi is not None:
-                            data_cycles = protocol_transfer_cycles(
-                                slave.latency, slave.gated)
                     if region is not None:
                         storage = region.storage
                         if entry.is_store and storage.read_only:
-                            refusal = "read_only"
+                            ended = "read_only"
                             break
                         data_cycles = region.cycles
-                    if data_cycles and bound is not None \
-                            and cycles + fetch_cycles + data_cycles > bound:
-                        # A memory access that would cross the bound is
-                        # left undone: the path that carries execution
-                        # across the break performs and books it once.
-                        flush = link_limited
-                        break
-                    if region is not None:
-                        if entry.is_load:
-                            self._load_value = storage.read(address, size)
-                        else:
-                            storage.write(address, core.preview_store_value(
-                                entry.instruction), size)
-                        if region is main_region:
-                            dispatcher.data_accesses += 1
-                        elif entry.is_load:
-                            lmb.reads += 1
-                        else:
-                            lmb.writes += 1
-                    elif dmi is not None:
-                        # Writes to read-only stores (FLASH) are dropped,
-                        # as on every fabric.
-                        if entry.is_load:
-                            self._load_value = dmi.read(address, size)
-                        elif not dmi.read_only:
-                            dmi.write(address, core.preview_store_value(
-                                entry.instruction), size)
-                        transport.account_direct(DATA_MASTER, 1, data_cycles)
-                        if recording is not None:
-                            region = self._dmi_trace_region(
-                                dmi, data_cycles, entry.is_store)
                     else:
-                        if core._imm_prefix is not None:
-                            refusal = "device"
-                            break
-                        if entry.is_load:
-                            served = self._warp_device_read(
-                                ctx, uart_states, address, size,
-                                cycles + fetch_cycles, bound, link_limited,
-                                rx_horizon, warp_start, period)
-                        else:
-                            served = self._warp_device_write(
-                                ctx, uart_states, address,
-                                core.preview_store_value(entry.instruction),
-                                size, cycles + fetch_cycles, bound,
-                                link_limited, rx_horizon, warp_start, period)
-                        if served is None:
-                            refusal = "device"
-                            break
-                        if served is _WARP_RETRY:
-                            flush = True
-                            break
-                        if entry.is_load:
-                            self._load_value, data_cycles = served
-                        else:
-                            data_cycles = served
-                        if recording is not None:
-                            region = self._device_trace_region(
-                                ctx, address, size, data_cycles,
-                                entry.is_store)
+                        if dmi is None:
+                            value = None if entry.is_load else \
+                                core.preview_store_value(entry.instruction)
+                            slave = None if core._imm_prefix is not None \
+                                else self._warp_slave(address, value)
+                            if slave is None:
+                                ended = "device"
+                                break
+                        data_cycles = protocol_transfer_cycles(
+                            slave.latency, slave.gated)
                 step_cycles = fetch_cycles + data_cycles
                 if bound is not None and cycles + step_cycles > bound:
                     # Timer wrap / run window / link horizon ahead; flush
                     # (horizon) or let the per-cycle path carry execution
-                    # across the break point (everything else).
+                    # across the break point (everything else).  An access
+                    # that would cross it is left undone: the path that
+                    # carries execution across performs and books it once.
+                    ended = "bound"
                     flush = link_limited
                     break
+                if region is not None:
+                    if entry.is_load:
+                        self._load_value = storage.read(address, size)
+                    else:
+                        storage.write(address, core.preview_store_value(
+                            entry.instruction), size)
+                    if region is main_region:
+                        dispatcher.data_accesses += 1
+                    elif entry.is_load:
+                        lmb.reads += 1
+                    else:
+                        lmb.writes += 1
+                elif dmi is not None:
+                    # Writes to read-only stores (FLASH) are dropped, as on
+                    # every fabric.
+                    if entry.is_load:
+                        self._load_value = dmi.read(address, size)
+                    elif not dmi.read_only:
+                        dmi.write(address, core.preview_store_value(
+                            entry.instruction), size)
+                    transport.account_direct(DATA_MASTER, 1, data_cycles)
+                    if recording is not None:
+                        region = self._dmi_trace_region(
+                            dmi, data_cycles, entry.is_store)
+                elif slave is not None:
+                    # A device register its slave serves, at the edge the
+                    # protocol lands the access on, booked as the TLM
+                    # fabrics book it -- or, RX state past the link
+                    # horizon, retried after a flush.
+                    answer = slave.warp_access(
+                        address, value, size, warp_start + period * (
+                            cycles + step_cycles - ACK_TO_MASTER_CYCLES),
+                        rx_horizon)
+                    if answer is WARP_RETRY:
+                        flush = True
+                        break
+                    transport.account_target(DATA_MASTER, 1, data_cycles)
+                    if entry.is_load:
+                        self._load_value = answer
+                    else:
+                        post = answer
+                    if recording is not None:
+                        region = self._device_trace_region(
+                            slave, address, size, data_cycles,
+                            entry.is_store)
                 took_branch = core.execute_decoded(entry)
                 cycles += step_cycles
                 executed += 1
                 if recording is not None:
                     recording[1].append((entry, region, took_branch))
-                if self._warp_post is not None:
-                    post = self._warp_post
-                    self._warp_post = None
-                    if post == "ack":
-                        guard_ie = False
-                    else:
-                        flush = True
-                        break
-            if recording is not None and refusal is not None:
+                if post == WARP_ACK:
+                    # The acknowledge dropped the interrupt request: the
+                    # service epilogue (``rtid``) may run in-warp too.
+                    core.clear_interrupt()
+                    guard_ie = False
+                elif post is not None:
+                    flush = True
+                    break
+            else:
+                ended = "budget"
+            if recording is not None and ended in _REFUSALS:
                 # The recorded path ends in front of what ended the warp.
-                self._install_trace(recording, core.pc, refusal, epoch)
-            if not flush or cycles == sub_start:
+                self._install_trace(recording, core.pc, ended, epoch)
+            if not flush:
                 # Budget, halt, an unservable access or a non-horizon bound
-                # ends the warp; so does a horizon flush that made no
-                # progress (the per-cycle path then carries one instruction
-                # across the horizon).
+                # ends the warp.
+                break
+            ended = "horizon"
+            if cycles == sub_start:
+                # A horizon flush that made no progress ends it too (the
+                # per-cycle path then carries one instruction across).
                 break
             # ---- horizon flush ----------------------------------------
             # Surface exactly at the sub-burst end.  Frames due here are
@@ -828,22 +784,20 @@ class MicroBlazeWrapper(Module, SimComponent):
             # Re-latch against the level as of this flush: a warp may now
             # span the handler's mask and the bottom half's re-enable, so
             # a fall behind the mask must make later rises visible again.
-            eth_irq_high = bool(eth_irq._next if eth_irq._update_requested
-                                else eth_irq._current)
+            eth_irq_high = bool(eth_irq.pending_value)
         if cycles == 0:
             # Nothing charged: restore the world untouched, zero cost.  The
             # parked notifications are revived in place via the kernel's
             # staleness rule, so no queue traffic happens either.
             for process in detached:
                 posedge.add_static(process)
-            for record in uart_states:
-                event = record[1]
-                event._pending_kind = "timed"
-                event._pending_time = record[2]
+            for uart in ctx.uarts:
+                uart.unpark()
             return False
         stats.add_cycles(cycles)
         stats.quantum_warps += 1
         stats.quantum_instructions += executed
+        stats.warp_ends[ended] += 1
         # ---- charge the rest of the quantum in one timed wait ---------
         if cycles > charged:
             self.decoupled_until_ps = warp_start + cycles * period
@@ -856,24 +810,8 @@ class MicroBlazeWrapper(Module, SimComponent):
             timer.counter = (timer.counter + cycles - 1) & WORD_MASK
         for process in detached:
             posedge.add_static(process)
-        now = self.sim.time_ps
-        for record in uart_states:
-            uart, event, pending_time, sleep_ps, next_wake, exact = record
-            if exact:
-                # An observed uart: replay the remaining wakes it owes (the
-                # ones strictly before now), then resume live on its own
-                # wake grid -- activation counts and drain timing match the
-                # per-cycle path exactly.
-                if next_wake < now:
-                    self._warp_uart_replay(record, now - 1)
-                    next_wake = record[4]
-                event.notify(next_wake - now)
-            elif pending_time >= now:
-                event.notify(pending_time - now)
-            else:
-                behind = now - pending_time
-                catch_up = -(-behind // sleep_ps) * sleep_ps
-                event.notify(pending_time + catch_up - now)
+        for uart in ctx.uarts:
+            uart.resume(self.sim.time_ps)
         # Re-align with the rising edge this wait matured on.
         yield None
         self.decoupled_until_ps = None
@@ -913,216 +851,29 @@ class MicroBlazeWrapper(Module, SimComponent):
         return TraceRegion(storage, self.transport, "dmi", cycles,
                            storage.base_address, storage.end_address)
 
-    def _device_trace_region(self, ctx, address: int, size: int, cycles: int,
-                             store: bool):
+    def _device_trace_region(self, slave, address: int, size: int,
+                             cycles: int, store: bool):
         """The :class:`DeviceRegion` of a register access just served
-        in-warp, when its device lets a trace serve it (only the linked
-        MAC's FIFO data ports do); ``"device"`` otherwise."""
-        ethernet = ctx.ethernet
-        conditions = None if ethernet is None \
-            else ethernet.trace_conditions(address, size, store)
+        in-warp, when its slave lets a trace serve it
+        (``trace_conditions``); ``"device"`` otherwise."""
+        conditions = slave.trace_conditions(address, size, store)
         if conditions is None:
             return "device"
-        return DeviceRegion(ethernet, self.transport, address, cycles,
+        return DeviceRegion(slave, self.transport, address, cycles,
                             conditions)
 
-    # -- in-warp peripheral access -------------------------------------------
-    def _warp_device_read(self, ctx, uart_states, address, size, base_cycles,
-                          bound, link_limited, rx_horizon, warp_start,
-                          period):
-        """Serve a UART / linked-MAC load in-line during a warp, if safe.
-
-        ``base_cycles`` is the warp-relative cycle the transfer starts on;
-        the slave access itself lands ``REQUEST_TO_GRANT_CYCLES`` plus the
-        decode latency later, exactly where the pin-accurate protocol puts
-        it.  Returns ``(value, data_cycles)`` with the access performed and
-        accounted as the TLM fabrics would, ``None`` when the warp must end
-        (unknown peripheral, or a bound the per-cycle path has to carry
-        execution across), or ``_WARP_RETRY`` when the access merely has to
-        wait for the link horizon to move (the caller flushes the current
-        sub-burst and retries the instruction).
-        """
+    def _warp_slave(self, address: int, value: Optional[int]):
+        """The slave of a device register access (a load when ``value`` is
+        None) that the warp may perform itself, because the slave says the
+        access comes out as on the per-cycle path (``warp_serves``); None
+        when the warp must end in front of it."""
         transport = self.transport
         if transport.kind not in (BUS_TRANSACTION, BUS_FUNCTIONAL):
             return None
-        ethernet = ctx.ethernet
-        if ethernet is not None and ethernet.link is not None \
-                and not ethernet.detached \
-                and ethernet.base_address <= address < ethernet.end_address:
-            pre_access = REQUEST_TO_GRANT_CYCLES \
-                + (0 if ethernet.gated else ethernet.latency)
-            data_cycles = pre_access + ACK_TO_MASTER_CYCLES
-            if bound is not None and base_cycles + data_cycles > bound:
-                return _WARP_RETRY if link_limited else None
-            # MAC state is only final strictly before the delivery horizon;
-            # on or past it the MAC says which reads a delivery cannot
-            # change (this is what lets the masked interrupt handler's
-            # drain loop stay in-warp).
-            if rx_horizon is not None and warp_start \
-                    + (base_cycles + pre_access) * period >= rx_horizon \
-                    and not ethernet.served_ahead_of_delivery(address, False):
-                return _WARP_RETRY
-            value = ethernet.target_read(address, size)
-            transport.account_target(DATA_MASTER, 1, data_cycles)
-            return value, data_cycles
-        for record in uart_states:
-            uart = record[0]
-            if uart.detached or not (uart.base_address <= address
-                                     < uart.end_address):
-                continue
-            pre_access = REQUEST_TO_GRANT_CYCLES \
-                + (0 if uart.gated else uart.latency)
-            data_cycles = pre_access + ACK_TO_MASTER_CYCLES
-            if bound is not None and base_cycles + data_cycles > bound:
-                return _WARP_RETRY if link_limited else None
-            # Drain wakes due up to the access edge run first per-cycle
-            # (their timed notifications were queued cycles earlier), so
-            # replay them before reading cycle-varying FIFO state.
-            self._warp_uart_replay(
-                record, warp_start + (base_cycles + pre_access) * period)
-            value = uart.target_read(address, size)
-            transport.account_target(DATA_MASTER, 1, data_cycles)
-            return value, data_cycles
-        return None
-
-    def _warp_device_write(self, ctx, uart_states, address, value, size,
-                           base_cycles, bound, link_limited, rx_horizon,
-                           warp_start, period):
-        """Serve a UART / linked-MAC store in-line during a warp, if safe.
-
-        Same contract as :meth:`_warp_device_read`, returning the cycle
-        annotation instead of a value.  Stores that could move an interrupt
-        edge -- enabling the MAC's RX interrupt, enabling a UART's
-        interrupt -- end the warp *before* executing, so the per-cycle path
-        replays them and the interrupt wiring sees the transition on the
-        exact cycle it would have per-cycle.
-        """
-        transport = self.transport
-        if transport.kind not in (BUS_TRANSACTION, BUS_FUNCTIONAL):
+        slave = transport.slave_for(address)
+        if slave is None or not slave.warp_serves(address, value):
             return None
-        ethernet = ctx.ethernet
-        if ethernet is not None and ethernet.link is not None \
-                and not ethernet.detached \
-                and ethernet.base_address <= address < ethernet.end_address:
-            offset = (address - ethernet.base_address) & 0xFFC
-            pre_access = REQUEST_TO_GRANT_CYCLES \
-                + (0 if ethernet.gated else ethernet.latency)
-            data_cycles = pre_access + ACK_TO_MASTER_CYCLES
-            if bound is not None and base_cycles + data_cycles > bound:
-                return _WARP_RETRY if link_limited else None
-            edge_ps = warp_start + (base_cycles + pre_access) * period
-            if offset == ethernet.REG_CONTROL \
-                    and (value & ethernet.CONTROL_RX_IE) \
-                    and not ethernet.rx_interrupt_enabled:
-                if ethernet.rx_pending:
-                    # Enabling with frames queued raises the RX interrupt
-                    # on the store's own cycle: per-cycle territory.
-                    return None
-                if rx_horizon is not None and edge_ps >= rx_horizon:
-                    # A delivery may be due before the store lands; surface
-                    # at the horizon first and retry against fresh state.
-                    return _WARP_RETRY
-                # Queue empty and no delivery can precede the store, so the
-                # interrupt level stays low and the write itself is
-                # edge-invisible.  Ask the burst loop to flush right after
-                # this instruction: the next sub-burst then recomputes its
-                # bound under the newly horizon-limited regime.
-                self._warp_post = "flush"
-            elif rx_horizon is not None and edge_ps >= rx_horizon \
-                    and not ethernet.served_ahead_of_delivery(address, True):
-                # A store that interacts with delivery ordering (queue head
-                # pop, sticky-overflow W1C) is only final before the horizon.
-                return _WARP_RETRY
-            if offset == ethernet.REG_TX_GO:
-                # Commit the frame at the access edge's *virtual* time so
-                # the link derives the same delivery due time the
-                # per-cycle path would have produced.
-                ethernet.tx_commit_ps = edge_ps
-                try:
-                    ethernet.target_write(address, value, size)
-                finally:
-                    ethernet.tx_commit_ps = None
-            else:
-                ethernet.target_write(address, value, size)
-            transport.account_target(DATA_MASTER, 1, data_cycles)
-            return data_cycles
-        intc = ctx.intc
-        if intc is not None and not intc.detached \
-                and intc.base_address <= address < intc.end_address:
-            if ((address - intc.base_address) & 0x1F) != intc.REG_IAR:
-                return None
-            # An interrupt acknowledge can be served in-warp when it
-            # provably drops the controller output to zero and nothing can
-            # immediately re-raise it: no enabled source stays pending and
-            # every input line is low and stable (a high input would
-            # re-latch ISR on the very next poll).  The handler's ``rtid``
-            # may then run in-warp too -- the caller clears its IE guard.
-            if (intc.mer & 0x1) and ((intc.isr & ~value) & intc.ier):
-                return None
-            irq = intc.irq
-            if not irq._current or irq._update_requested:
-                return None
-            for _bit, source in intc._inputs:
-                if source._current or source._update_requested:
-                    return None
-            pre_access = REQUEST_TO_GRANT_CYCLES \
-                + (0 if intc.gated else intc.latency)
-            data_cycles = pre_access + ACK_TO_MASTER_CYCLES
-            if bound is not None and base_cycles + data_cycles > bound:
-                return _WARP_RETRY if link_limited else None
-            intc.target_write(address, value, size)
-            transport.account_target(DATA_MASTER, 1, data_cycles)
-            # The acknowledge scheduled the output's fall; apply it
-            # synchronously (the queued signal update re-applies the same
-            # value, a no-op) and clear the core's latched request so the
-            # service epilogue stays in-warp.
-            irq._current = 0
-            self.core.clear_interrupt()
-            self._warp_post = "ack"
-            return data_cycles
-        for record in uart_states:
-            uart = record[0]
-            if uart.detached or not (uart.base_address <= address
-                                     < uart.end_address):
-                continue
-            if ((address - uart.base_address) & 0xF) == uart.REG_CONTROL \
-                    and (value & uart.CONTROL_ENABLE_INTERRUPT):
-                return None
-            pre_access = REQUEST_TO_GRANT_CYCLES \
-                + (0 if uart.gated else uart.latency)
-            data_cycles = pre_access + ACK_TO_MASTER_CYCLES
-            if bound is not None and base_cycles + data_cycles > bound:
-                return _WARP_RETRY if link_limited else None
-            self._warp_uart_replay(
-                record, warp_start + (base_cycles + pre_access) * period)
-            record[5] = True
-            uart.target_write(address, value, size)
-            transport.account_target(DATA_MASTER, 1, data_cycles)
-            return data_cycles
-        return None
-
-    def _warp_uart_replay(self, record, edge_ps: int) -> None:
-        """Replay the UART's drain wakes due up to ``edge_ps`` (inclusive).
-
-        Exactly the per-activation body of the transmit thread (interrupt
-        generation is engage-refused during a warp), applied along the
-        parked thread's own wake grid.  Marks the uart *exact*: its
-        remaining wakes replay at warp end instead of being skipped.
-        """
-        wake = record[4]
-        if wake > edge_ps:
-            return
-        uart = record[0]
-        sleep_ps = record[3]
-        fifo = uart.tx_fifo
-        console = uart.console
-        while wake <= edge_ps:
-            uart.tx_thread_activations += 1
-            while not fifo.empty:
-                console.write_char(fifo.nb_read())
-            wake += sleep_ps
-        record[4] = wake
-        record[5] = True
+        return slave
 
     # -- routed accesses ---------------------------------------------------------------
     def _fetch(self, address: int):

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from ..bus.opb import OpbSlave
+from ..bus.opb import WARP_FLUSH, WARP_RETRY, OpbSlave
 from ..bus.signals import OpbInterconnect
 from ..bus.transport import ACK_TO_MASTER_CYCLES, REQUEST_TO_GRANT_CYCLES
 from ..datatypes import WORD_MASK
@@ -193,6 +193,48 @@ class EthernetMacProxy(OpbSlave):
             if not getattr(self, name):
                 return False
         return True
+
+    def warp_serves(self, address: int, value) -> bool:
+        """Every access but a linked MAC's ``CONTROL`` store that enables
+        ``RX_IE`` while a frame is queued: that raises the RX interrupt on
+        the store's own cycle.  The probe-only proxy has no interrupt path
+        at all."""
+        return not (self._enables_rx_interrupt(address, value)
+                    and self.rx_pending)
+
+    def warp_access(self, address: int, value, size: int, edge_ps: int,
+                    horizon_ps):
+        """Perform an access ahead of the clock, at ``edge_ps``.
+
+        On or past the delivery horizon it waits (``WARP_RETRY``) unless
+        :meth:`delivery_conditions` lets it go ahead of a delivery, and an
+        ``RX_IE`` enable always waits: a frame delivered before it would
+        raise the interrupt.  Served ahead of the horizon, that enable
+        leaves the level low, so the write itself is edge-invisible; the
+        master surfaces right after it (``WARP_FLUSH``) so its next
+        stretch is bounded by the horizon.  A ``TX_GO`` commits its frame
+        at ``edge_ps``, so the link derives the per-cycle due time.
+        """
+        store = value is not None
+        enabling = self._enables_rx_interrupt(address, value)
+        if horizon_ps is not None and edge_ps >= horizon_ps and (
+                enabling or not self.served_ahead_of_delivery(address, store)):
+            return WARP_RETRY
+        if not store:
+            return self.target_read(address, size)
+        self.tx_commit_ps = edge_ps
+        try:
+            self.target_write(address, value, size)
+        finally:
+            self.tx_commit_ps = None
+        return WARP_FLUSH if enabling else None
+
+    def _enables_rx_interrupt(self, address: int, value) -> bool:
+        """True for a linked MAC's store that sets ``CONTROL.RX_IE``."""
+        return self.link is not None and value is not None \
+            and bool(value & self.CONTROL_RX_IE) \
+            and not self.rx_interrupt_enabled \
+            and (address - self.base_address) & 0xFFC == self.REG_CONTROL
 
     def trace_conditions(self, address: int, size: int, store: bool):
         """Whether a compiled ISS trace may serve this access itself.

@@ -57,6 +57,12 @@ class Gpio(OpbSlave):
         """Drive the board-side inputs (test/benchmark helper)."""
         self.external_inputs = value & WORD_MASK
 
+    def warp_serves(self, address: int, value) -> bool:
+        """Every access: the GPIO has no signal and no state that moves
+        with time, and the board inputs change only between run windows,
+        which a warp never crosses."""
+        return True
+
     # -- checkpoint / restore -----------------------------------------------
     def capture_state(self) -> dict:
         """Plain-data snapshot of the GPIO registers and history."""

@@ -19,7 +19,7 @@ offset name  behaviour
 
 from __future__ import annotations
 
-from ..bus.opb import OpbSlave
+from ..bus.opb import WARP_ACK, OpbSlave
 from ..bus.signals import OpbInterconnect
 from ..kernel.engine import SimulationEngine
 from ..signals import Signal
@@ -136,3 +136,52 @@ class InterruptController(OpbSlave):
     def pending(self) -> int:
         """Currently pending (enabled and latched) interrupts."""
         return self.isr & self.ier
+
+    # -- temporal decoupling (a quantum-level CPU running ahead) ------------
+    def warp_ready(self, servicing: bool) -> bool:
+        """Whether the CPU may run ahead with this controller's poll
+        detached, i.e. whether re-polling during the warp would change
+        nothing.
+
+        The output must be stable and consistent with the latched state,
+        and every asserted input already latched.  Outside interrupt
+        service (``servicing`` False) no interrupt may be in flight: the
+        output is low.  In service it is high, which the detached poll
+        would hold it at.
+        """
+        irq = self.irq
+        level = 1 if (self.mer & 0x1) and (self.isr & self.ier) else 0
+        if irq.pending_value != irq.value or irq.value != level \
+                or (level and not servicing):
+            return False
+        for bit, source in self._inputs:
+            if source.pending_value != source.value \
+                    or (source.value and not self.isr & (1 << bit)):
+                return False
+        return True
+
+    def warp_serves(self, address: int, value) -> bool:
+        """Only an acknowledge (``IAR``) that drops the output for good.
+
+        No enabled source may stay pending, and the output must be high
+        with no other value pending (the detached poll's last activation
+        may leave an unchanged one).  Every input must be low, or falling
+        by an update still pending (the timer line after a ``TINT`` clear
+        earlier in the warp): a high input would re-latch ``ISR`` on the
+        next poll.  The CPU's interrupt request then falls with the store
+        (:meth:`warp_access` answers ``WARP_ACK``).
+        """
+        if value is None \
+                or (address - self.base_address) & 0x1F != self.REG_IAR:
+            return False
+        if (self.mer & 0x1) and (self.isr & ~value & self.ier):
+            return False
+        if not (self.irq.value and self.irq.pending_value):
+            return False
+        return not any(source.pending_value for _bit, source in self._inputs)
+
+    def warp_access(self, address: int, value, size: int, edge_ps: int,
+                    horizon_ps) -> str:
+        """Perform the acknowledge :meth:`warp_serves` approved."""
+        self.target_write(address, value, size)
+        return WARP_ACK

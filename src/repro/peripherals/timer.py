@@ -91,6 +91,24 @@ class OpbTimer(OpbSlave):
             self.load_value = value & WORD_MASK
         # TCR is read-only.
 
+    def warp_serves(self, address: int, value) -> bool:
+        """``TCSR`` and ``TLR`` reads, ``TLR`` writes, and ``TCSR`` writes
+        that leave ``ENABLE`` as it is (the handler's write-one-to-clear
+        of ``TINT``, say).
+
+        A warp never crosses an expiry (the master bounds it there), so
+        only these writes change ``control`` or ``load_value`` under it;
+        clearing ``TINT`` only lowers the interrupt line, and the
+        controller latches only lines that are high.  ``TCR`` reads see
+        a counter the warp reconciles only at its end, and starting or
+        stopping the counter moves that bound: both end the warp.
+        """
+        offset = (address - self.base_address) & 0xF
+        if offset == self.REG_TCSR:
+            return value is None \
+                or bool(value & self.CTRL_ENABLE) == self.enabled
+        return offset == self.REG_TLR
+
     # -- checkpoint / restore --------------------------------------------------
     def capture_state(self) -> dict:
         """Plain-data snapshot of the timer registers and counters."""

@@ -109,6 +109,10 @@ class UartLite(OpbSlave):
                                          sensitive=[clock.posedge_event()],
                                          dont_initialize=True,
                                          name="tx")
+        #: While a warp holds the thread parked (see :meth:`park`): its
+        #: parked wake, the next wake on its grid, and whether it is exact.
+        self._parked_wake = self._next_wake = 0
+        self._exact = False
 
     # -- bus-facing register behaviour ---------------------------------------
     def read_register(self, offset: int, size: int) -> int:
@@ -216,6 +220,93 @@ class UartLite(OpbSlave):
 
     def state_children(self) -> dict:
         return {"interrupt": self.interrupt}
+
+    # -- temporal decoupling (a quantum-level CPU running ahead) -------------
+    def warp_ready(self) -> bool:
+        """Whether the CPU may run ahead of the clock: the transmit thread
+        asleep on its own timeout, and no interrupt generation a warp
+        could delay.  A non-empty TX FIFO is fine: the drains the warp
+        runs across are replayed (:meth:`resume`)."""
+        thread = self._tx_thread
+        return thread._waiting_time \
+            and thread._timeout_event._pending_kind == "timed" \
+            and not self.interrupt_enabled
+
+    def park(self) -> None:
+        """Hold the transmit thread's wake for the length of a warp.
+
+        The queued notification is marked stale instead of cancelled (a
+        cancel rebuilds the generic engine's heap).  The wake grid is
+        tracked so accesses can replay the drains that precede them.  It
+        is *exact* -- every wake replayed at :meth:`resume` instead of
+        skipped -- when characters are already buffered (their drains are
+        observable), or once the warp replays a drain or writes to it.
+        """
+        event = self._tx_thread._timeout_event
+        self._parked_wake = self._next_wake = event._pending_time
+        self._exact = not self.tx_fifo.empty
+        event._pending_kind = None
+
+    def unpark(self) -> None:
+        """Revive the parked wake in place (the warp charged nothing)."""
+        event = self._tx_thread._timeout_event
+        event._pending_kind = "timed"
+        event._pending_time = self._parked_wake
+
+    def resume(self, now: int) -> None:
+        """Re-arm the transmit thread after a warp that ended at ``now``.
+
+        An exact UART replays the wakes it owes (the ones strictly before
+        ``now``) and resumes on its own wake grid, so activation counts and
+        drain timing match the per-cycle path; any other resumes at its
+        parked wake, or the first grid point at or after ``now``.
+        """
+        event = self._tx_thread._timeout_event
+        wake = self._parked_wake
+        if self._exact:
+            self.catch_up(now - 1)
+            wake = self._next_wake
+        elif wake < now:
+            sleep_ps = self.tx_sleep_cycles * self.clock.period_ps
+            wake += -(-(now - wake) // sleep_ps) * sleep_ps
+        event.notify(wake - now)
+
+    def catch_up(self, edge_ps: int) -> None:
+        """Replay the parked thread's drain wakes due up to ``edge_ps``
+        (inclusive), marking the UART exact if there were any.
+
+        Exactly the thread's per-activation body (interrupt generation
+        keeps a warp from starting), along its own wake grid.
+        """
+        wake = self._next_wake
+        if wake > edge_ps:
+            return
+        sleep_ps = self.tx_sleep_cycles * self.clock.period_ps
+        while wake <= edge_ps:
+            self.tx_thread_activations += 1
+            while not self.tx_fifo.empty:
+                self.console.write_char(self.tx_fifo.nb_read())
+            wake += sleep_ps
+        self._next_wake = wake
+        self._exact = True
+
+    def warp_serves(self, address: int, value) -> bool:
+        """Every access but a ``CONTROL`` store that enables the interrupt,
+        whose generation would move with the warp."""
+        return value is None \
+            or (address - self.base_address) & 0xF != self.REG_CONTROL \
+            or not value & self.CONTROL_ENABLE_INTERRUPT
+
+    def warp_access(self, address: int, value, size: int, edge_ps: int,
+                    horizon_ps):
+        """Replay the drains due by the access edge first (their timed
+        wakes were queued cycles earlier), then perform the access."""
+        self.catch_up(edge_ps)
+        if value is None:
+            return self.target_read(address, size)
+        self._exact = True
+        self.target_write(address, value, size)
+        return None
 
     def _transmit_thread(self):
         """Drain the TX FIFO towards the console.

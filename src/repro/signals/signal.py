@@ -152,6 +152,13 @@ class Signal(SignalBase, Generic[ValueT]):
         """The committed value without counting as a modelled port read."""
         return self._current
 
+    @property
+    def pending_value(self) -> ValueT:
+        """The value the next update phase commits: the last value written
+        when an update is pending, the committed value otherwise (not
+        counted as a modelled port read either)."""
+        return self._next if self._update_requested else self._current
+
     def force(self, value: ValueT) -> None:
         """Set the value immediately, bypassing the update phase.
 

@@ -37,7 +37,7 @@ from repro.software import (BootParams, build_boot_program,
                             ping_echo_programs)
 from repro.software.clib import clib_source
 from repro.software.programs import BRAM_STACK_TOP, interrupt_source
-from test_differential_fuzz import observe_cluster
+from test_differential_fuzz import observe_cluster, observe_devices
 
 SMALL_BOOT = BootParams(bss_bytes=32, kernel_copy_bytes=48,
                         page_clear_bytes=16, page_clear_count=1,
@@ -73,6 +73,7 @@ def observe(platform: VanillaNetPlatform) -> dict:
         "branches_taken": stats.branches_taken,
         "per_mnemonic": dict(stats.per_mnemonic),
         "per_function": dict(stats.per_function),
+        "devices": observe_devices(platform),
     }
 
 
@@ -169,6 +170,30 @@ class TestCrossLevelIdentity:
                 VariantName.SUPPRESS_MAIN_MEMORY, level,
                 engine=ENGINE_CLOCKED))
         assert results[CPU_CYCLE] == results[CPU_QUANTUM]
+
+    def test_device_accesses_served_in_warp(self):
+        """The probe's MAC and GPIO loads, the handler's ``TCSR`` read and
+        clear and its ``IAR`` acknowledge run inside warps, performed and
+        booked as the per-cycle path performs and books them."""
+        boot = dataclasses.replace(SMALL_BOOT, device_probe_rounds=8,
+                                   timer_ticks=4)
+        results = {}
+        for level in cpu_levels():
+            platform = VanillaNetPlatform(variant_config(
+                VariantName.KERNEL_FUNCTION_CAPTURE, engine=ENGINE_CLOCKED,
+                bus_level=BUS_FUNCTIONAL, cpu_level=level))
+            platform.load_program(build_boot_program(boot))
+            fabric = platform.bus_fabric
+            results[level] = {
+                **run_to_halt(platform),
+                "data_transfers": fabric.per_master_transfers[DATA_MASTER],
+                "target_accesses": fabric.target_accesses,
+            }
+            stats = platform.statistics
+        assert results[CPU_QUANTUM] == results[CPU_CYCLE]
+        assert results[CPU_QUANTUM]["finished"]
+        assert sum(stats.warp_ends.values()) == stats.quantum_warps
+        assert (stats.quantum_warps, stats.warp_ends["device"]) == (10, 4)
 
     @pytest.mark.parametrize("bus_level", [BUS_SIGNAL, BUS_TRANSACTION])
     def test_identity_holds_on_slower_fabrics(self, bus_level):
@@ -390,7 +415,8 @@ _halt:
 def run_both_levels(program, drive=run_to_halt,
                     variant=VariantName.SUPPRESS_MAIN_MEMORY):
     """Drive ``program`` at both CPU levels, require identical
-    observations, and return the quantum level's statistics."""
+    observations, and return the quantum level's statistics (whose
+    ``warp_ends`` count every warp once)."""
     results = {}
     for level in cpu_levels():
         platform = VanillaNetPlatform(variant_config(
@@ -401,6 +427,7 @@ def run_both_levels(program, drive=run_to_halt,
     assert results[CPU_CYCLE] == results[CPU_QUANTUM]
     stats = platform.statistics
     assert stats.traces_compiled > 0 and stats.trace_runs > 0
+    assert sum(stats.warp_ends.values()) == stats.quantum_warps
     return stats
 
 
@@ -553,6 +580,7 @@ targets:
 
         stats = run_both_levels(assemble(source, origin=mm.BRAM_BASE), drive)
         assert stats.trace_exits["ie_guard"] > 0
+        assert stats.warp_ends["ie_guard"] > 0
 
     def test_misaligned_access(self):
         # Pass 25 loads through an odd address: both levels stop on the
@@ -569,7 +597,9 @@ targets:
                 platform.run_until_halt(max_cycles=100_000)
             return observe(platform)
 
-        assert run_both_levels(program, drive).trace_exits["misaligned"] == 1
+        stats = run_both_levels(program, drive)
+        assert stats.trace_exits["misaligned"] == stats.warp_ends[
+            "misaligned"] == 1
 
     def test_read_only_flash_target(self):
         program = hot_loop_program("""

@@ -12,9 +12,11 @@ the claim honest against programs nobody wrote:
 * a fixed two-node ping/echo run, the acceptance gate for the cluster
   tentpole (frame traffic + RX interrupts through every seam combo);
 * hypothesis-generated instruction streams on a single node: a counted
-  loop around ALU, memory and 32-bit ``li`` instructions with forward
+  loop around ALU, memory, device-register (GPIO, unlinked MAC, timer,
+  interrupt controller) and 32-bit ``li`` instructions with forward
   conditional skips, run with every path compiled into a trace the
-  first time it runs at the quantum level;
+  first time it runs at the quantum level, comparing the devices' state
+  too;
 * hypothesis-generated frame traffic (payload shapes x ping counts x
   link latencies, including back-to-back bursts inside one latency
   window) on a two-node cluster, with every path compiled on first use
@@ -97,12 +99,29 @@ def observe_statistics(stats) -> dict:
     }
 
 
+def observe_devices(platform) -> dict:
+    """The register peripherals' state and every OPB slave's accepted
+    transactions."""
+    gpio, timer = platform.gpio, platform.timer
+    intc, mac = platform.intc, platform.ethernet
+    return {
+        "transactions": {slave.name: slave.transactions
+                         for slave in platform.bus_fabric.slaves},
+        "gpio": (gpio.data, gpio.tristate, list(gpio.output_history)),
+        "timer": (timer.control, timer.load_value, timer.counter,
+                  timer.expirations),
+        "intc": (intc.isr, intc.ier, intc.mer),
+        "mac": (dict(mac.registers), mac.access_count),
+    }
+
+
 def observe_platform(platform) -> dict:
     """Everything the identity claim quantifies over, single node."""
     return {
         "registers": platform.architectural_state(),
         "console": platform.console_output,
         "sim_cycles": platform.cycle_count,
+        "devices": observe_devices(platform),
         **observe_statistics(platform.statistics),
     }
 
@@ -213,15 +232,49 @@ _memory = st.tuples(
     st.sampled_from(["swi", "lwi"]), _reg, _offset,
 ).map(lambda t: f"{t[0]:<7} r{t[1]}, r13, {t[2]}")
 
+#: Device registers, as offsets from ``DEVICE_BASE`` (held in r24, which
+#: the stream never writes): GPIO ``DATA``/``TRISTATE`` and every register
+#: of the unlinked MAC are loaded and stored; timer ``TCSR``, ``TLR`` and
+#: ``TCR`` and controller ``ISR``, ``IPR``, ``IER`` and ``MER`` loaded;
+#: ``TLR`` stored.  ``TCSR`` stores come from :data:`_tcsr_store`.
+DEVICE_BASE = 0xFFFF_0000
+_GPIO = mm.GPIO_BASE - DEVICE_BASE
+_MAC = mm.ETHERNET_BASE - DEVICE_BASE
+_TIMER = mm.TIMER_BASE - DEVICE_BASE
+_INTC = mm.INTC_BASE - DEVICE_BASE
+_READ_WRITE = [_GPIO, _GPIO + 4] + [_MAC + offset
+                                    for offset in range(0, 0x2C, 4)]
+_READ_ONLY = [_TIMER, _TIMER + 4, _TIMER + 8] \
+    + [_INTC + offset for offset in (0x00, 0x04, 0x08, 0x1C)]
+
+_device = st.one_of(
+    st.tuples(st.just("lwi"), _reg,
+              st.sampled_from(_READ_WRITE + _READ_ONLY)),
+    st.tuples(st.just("swi"), _reg, st.sampled_from(_READ_WRITE
+                                                    + [_TIMER + 4])),
+).map(lambda t: f"{t[0]:<7} r{t[1]}, r24, {t[2]:#x}")
+
+#: A ``TCSR`` store built from a stream register's control bits (the
+#: ``TINT`` write-one-to-clear among them) that keeps the counter's
+#: ``ENABLE`` as it is or flips it; r25/r26 are its temporaries.
+_tcsr_store = st.tuples(st.booleans(), _reg).map(lambda t: "\n".join((
+    f"lwi     r25, r24, {_TIMER:#x}",
+    "andi    r25, r25, 1",
+    f"xori    r25, r25, {int(t[0])}",
+    f"andi    r26, r{t[1]}, 0x1FE",
+    "or      r25, r25, r26",
+    f"swi     r25, r24, {_TIMER:#x}")))
+
 #: One word each: what may sit in a branch's delay slot.
-_single = st.one_of(_three_reg, _reg_imm, _shift_imm, _extend, _memory)
+_single = st.one_of(_three_reg, _reg_imm, _shift_imm, _extend, _memory,
+                    _device)
 
 #: ``li`` with a full 32-bit immediate: an ``imm``/``addik`` pair.
 _load_immediate = st.tuples(
     _reg, st.integers(min_value=0, max_value=WORD_MASK),
 ).map(lambda t: f"li      r{t[0]}, {t[1]:#x}")
 
-_instruction = st.one_of(_single, _load_immediate)
+_instruction = st.one_of(_single, _load_immediate, _tcsr_store)
 
 #: A forward conditional skip over a few instructions, with or without
 #: a delay slot: ``(condition, register, delay-slot word or None, body)``.
@@ -246,7 +299,7 @@ def stream_lines(stream) -> list:
     lines = []
     for number, item in enumerate(stream):
         if isinstance(item, str):
-            lines.append(item)
+            lines.extend(item.splitlines())
             continue
         condition, register, delay, body = item
         if delay is None:
@@ -254,7 +307,8 @@ def stream_lines(stream) -> list:
         else:
             lines.append(f"{condition + 'd':<7} r{register}, skip_{number}")
             lines.append(delay)
-        lines.extend(body)
+        for instruction in body:
+            lines.extend(instruction.splitlines())
         lines.append(f"skip_{number}:")
     return lines
 
@@ -262,7 +316,8 @@ def stream_lines(stream) -> list:
 def stream_program(seeds, stream, passes=1):
     """Assemble a looping stream into a bootable BRAM image.
 
-    The stream runs ``passes`` times in a counted loop.  The epilogue
+    The stream runs ``passes`` times in a counted loop, with the device
+    registers' base in r24.  The epilogue
     routes one stream-derived byte through the console UART so the fuzz
     also differentiates the interrupt-driven print path, and then halts.
     """
@@ -275,6 +330,7 @@ def stream_program(seeds, stream, passes=1):
 _start:
     li      r1, {BRAM_STACK_TOP:#x}
     li      r13, scratch
+    li      r24, {DEVICE_BASE:#x}
 {seed_lines}
     addik   r19, r0, {passes}
 stream_loop:

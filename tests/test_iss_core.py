@@ -438,6 +438,17 @@ _start:
         assert system.core.stats.stores == 1
         assert system.core.stats.loads == 2
 
+    def test_warp_ends_summarised_merged_and_restored(self):
+        core = MicroBlazeCore()
+        core.stats.warp_ends.update({"bound": 2, "device": 1})
+        other = MicroBlazeCore()
+        other.stats.warp_ends["device"] += 3
+        core.stats.merge(other.stats)
+        assert core.stats.summary()["warp_ends"] == {"bound": 2,
+                                                     "device": 4}
+        other.restore_state(core.capture_state())
+        assert other.stats.warp_ends == core.stats.warp_ends
+
 
 class TestCoreErrorHandling:
     def test_unconnected_core_raises(self):

@@ -250,6 +250,22 @@ class TestInterruptController:
         platform.run_cycles(2)
         assert not intc.pending
 
+    def test_acknowledge_served_ahead_only_when_the_output_drops(self):
+        platform = build_platform()
+        intc, line = platform.intc, platform.timer.interrupt
+        iar = intc.base_address + intc.REG_IAR
+        intc.write_register(intc.REG_IER, 0x1, 4)
+        intc.write_register(intc.REG_MER, 0x3, 4)
+        line.force(1)
+        platform.run_cycles(3)
+        intc.irq.write(1)           # a pending update that keeps the output
+        assert not intc.warp_serves(iar, 0x1)   # the input is still high
+        line.write(0)               # its fall is pending: counts as low
+        assert intc.warp_serves(iar, 0x1)
+        assert not intc.warp_serves(iar, 0x0)   # ISR bit 0 stays pending
+        assert not intc.warp_serves(intc.base_address + intc.REG_ISR, None)
+        assert not intc.warp_serves(intc.base_address + intc.REG_IER, 0x1)
+
     def test_master_enable_gates_output(self):
         platform = build_platform()
         intc = platform.intc
