@@ -1,10 +1,12 @@
 """Shared helpers for the benchmark suite.
 
-Every benchmark measures *simulation speed* -- how many simulated clock
-cycles (or instructions) per second of host time a given model style
-achieves -- which is exactly the paper's Figure 2 metric.  Absolute numbers
-depend on the host (and on this being a Python kernel rather than C++
-SystemC); the quantities compared across benchmarks are the ratios.
+The speed gates measure *simulation speed* -- how many simulated clock
+cycles per second of host CPU time a given model style achieves -- which
+is exactly the paper's Figure 2 metric, and they time it only through
+:func:`repro.core.measure`.  Absolute numbers depend on the host (and on
+this being a Python kernel rather than C++ SystemC); the quantities
+compared are the ratios.  Nothing here writes into the checkout:
+``examples/figure2_sweep.py --record`` records the committed numbers.
 
 The helpers build platforms with a scaled-down boot workload so a full
 benchmark run finishes in minutes.
@@ -17,26 +19,10 @@ import pathlib
 import pytest
 
 from repro.bus import BUS_SIGNAL
-from repro.core import sweep as _sweep
 from repro.iss import CPU_CYCLE
 from repro.kernel import ENGINE_GENERIC
 from repro.platform import VanillaNetPlatform, VariantName, variant_config
 from repro.software import BootParams, build_boot_program
-
-#: Machine-readable benchmark results (variant x engine x bus level x cpu
-#: level -> CPS + kernel counters), merged across benchmark runs so the
-#: performance trajectory of the repository is comparable from PR to PR.
-BENCH_FIG2_PATH = pathlib.Path(__file__).resolve().parent.parent \
-    / "BENCH_fig2.json"
-
-BENCH_FIG2_SCHEMA = _sweep.BENCH_FIG2_SCHEMA
-
-#: Per-commit ledger of benchmark documents: every ``record_fig2_results``
-#: call also snapshots the merged document to ``bench_history/<commit>.json``
-#: so ``scripts/compare_bench_history.py`` can flag CPS regressions between
-#: commits.
-BENCH_HISTORY_DIR = pathlib.Path(__file__).resolve().parent.parent \
-    / "bench_history"
 
 
 def pytest_collection_modifyitems(items):
@@ -60,11 +46,8 @@ BENCH_BOOT_PARAMS = BootParams(
     progress_dots=2, timer_ticks=1, timer_period_cycles=500,
     device_probe_rounds=2)
 
-#: Instruction budget of one measured benchmark round.
+#: Instruction budget of one benchmark window.
 INSTRUCTIONS_PER_ROUND = 250
-
-#: Cycle budget of one measured RTL benchmark round.
-RTL_CYCLES_PER_ROUND = 400
 
 
 def build_variant_platform(variant: VariantName,
@@ -87,66 +70,3 @@ def run_instruction_window(platform: VanillaNetPlatform,
                            budget: int = INSTRUCTIONS_PER_ROUND) -> int:
     """Advance the platform by ``budget`` instructions; return cycles used."""
     return platform.run_instructions(budget, chunk_cycles=200)
-
-
-def record_speed(benchmark, platform: VanillaNetPlatform,
-                 cycles_total: int) -> None:
-    """Attach CPS/CPI numbers to the benchmark's extra info."""
-    stats = platform.statistics
-    mean_seconds = benchmark.stats.stats.mean if benchmark.stats else 0.0
-    if mean_seconds > 0 and benchmark.stats.stats.rounds > 0:
-        cycles_per_round = cycles_total / benchmark.stats.stats.rounds
-        benchmark.extra_info["cps_khz"] = round(
-            cycles_per_round / mean_seconds / 1e3, 3)
-    benchmark.extra_info["cpi"] = round(
-        stats.cycles / max(1, stats.instructions_retired), 2)
-    benchmark.extra_info["processes"] = platform.process_count()
-
-
-def record_fig2_results(results, errors=()) -> dict:
-    """Merge measured variant results into ``BENCH_fig2.json``.
-
-    Thin wrapper over :func:`repro.core.sweep.record_fig2_results` bound
-    to this repository's paths.  ``results`` is an iterable of
-    :class:`~repro.core.experiment.VariantResult`; ``errors`` an iterable
-    of sweep error records (failed/timed-out cells), which become
-    explicit ``error`` entries rather than silently missing keys.  The
-    merged document is also snapshotted into the per-commit
-    ``bench_history/`` ledger.  Returns the full document written.
-    """
-    return _sweep.record_fig2_results(results, BENCH_FIG2_PATH,
-                                      history_dir=BENCH_HISTORY_DIR,
-                                      errors=errors)
-
-
-def record_cluster_results(results) -> dict:
-    """Merge measured cluster cells into ``BENCH_fig2.json``.
-
-    Cluster rows share the document (and the per-commit history
-    snapshot) with the single-node Figure 2 entries, so
-    ``scripts/compare_bench_history.py --keys cluster`` can gate on
-    cluster CPS regressions.  Returns the full document written.
-    """
-    return _sweep.record_cluster_results(results, BENCH_FIG2_PATH,
-                                         history_dir=BENCH_HISTORY_DIR)
-
-
-def current_commit() -> str:
-    """The abbreviated hash of HEAD (``"unversioned"`` outside git)."""
-    return _sweep.current_commit(BENCH_FIG2_PATH.parent)
-
-
-def record_bench_history(document: dict) -> pathlib.Path:
-    """Snapshot a benchmark document into ``bench_history/<commit>.json``."""
-    return _sweep.record_bench_history(document, BENCH_HISTORY_DIR)
-
-
-def load_fig2_results() -> dict:
-    """The current ``BENCH_fig2.json`` document (empty skeleton if absent)."""
-    return _sweep.load_fig2_results(BENCH_FIG2_PATH)
-
-
-@pytest.fixture(scope="session")
-def bench_boot_program():
-    """The assembled benchmark boot program (shared across benchmarks)."""
-    return build_boot_program(BENCH_BOOT_PARAMS)

@@ -1,4 +1,4 @@
-"""Ablation benchmarks beyond the paper's own bars.
+"""Ablations beyond the paper's own bars, checked by the work they do.
 
 DESIGN.md calls out three design choices worth isolating:
 
@@ -44,17 +44,12 @@ class _SignalChurn(Module):
     (DataMode.NATIVE, 1), (DataMode.NATIVE, 32),
     (DataMode.RESOLVED, 1), (DataMode.RESOLVED, 32),
 ], ids=["native_1bit", "native_32bit", "resolved_1bit", "resolved_32bit"])
-def test_ablation_signal_data_types(benchmark, mode, width):
-    """Per-cycle cost of resolved versus native signals at two widths."""
+def test_ablation_signal_data_types(mode, width):
+    """Resolved and native signals of two widths do the same work."""
     sim = Simulator()
     clock = Clock(sim, "clk", SimTime.ns(10))
     churn = _SignalChurn(sim, "churn", clock, mode, width)
-
-    def run_window():
-        sim.run(SimTime(clock.period_ps * CYCLES_PER_ROUND))
-
-    benchmark.pedantic(run_window, rounds=3, iterations=1, warmup_rounds=1)
-    benchmark.extra_info["channel_updates"] = sim.stats.channel_updates
+    sim.run(SimTime(clock.period_ps * CYCLES_PER_ROUND))
     assert churn.counter >= CYCLES_PER_ROUND
 
 
@@ -77,24 +72,19 @@ class _ProcessFarm(Module):
 @pytest.mark.parametrize("count,use_methods", [
     (4, False), (4, True), (16, False), (16, True),
 ], ids=["4_threads", "4_methods", "16_threads", "16_methods"])
-def test_ablation_thread_vs_method_scaling(benchmark, count, use_methods):
-    """Scheduler cost of thread versus method processes at two scales."""
+def test_ablation_thread_vs_method_scaling(count, use_methods):
+    """Thread and method processes run once per cycle at two scales."""
     sim = Simulator()
     clock = Clock(sim, "clk", SimTime.ns(10))
     farm = _ProcessFarm(sim, "farm", clock, count, use_methods)
-
-    def run_window():
-        sim.run(SimTime(clock.period_ps * CYCLES_PER_ROUND))
-
-    benchmark.pedantic(run_window, rounds=3, iterations=1, warmup_rounds=1)
-    benchmark.extra_info["activations"] = sim.stats.process_activations
+    sim.run(SimTime(clock.period_ps * CYCLES_PER_ROUND))
     assert farm.ticks >= CYCLES_PER_ROUND * count
 
 
 @pytest.mark.parametrize("dispatcher_enabled", [False, True],
                          ids=["bram_workload_no_benefit",
                               "bram_workload_dispatcher_on"])
-def test_ablation_dispatcher_hit_rate(benchmark, dispatcher_enabled):
+def test_ablation_dispatcher_hit_rate(dispatcher_enabled):
     """Dispatcher benefit disappears when fetches already hit the 1-cycle LMB.
 
     The memory-exercise program runs entirely from BRAM, which the LMB
@@ -107,15 +97,7 @@ def test_ablation_dispatcher_hit_rate(benchmark, dispatcher_enabled):
                          suppress_main_memory=dispatcher_enabled)
     platform = VanillaNetPlatform(config)
     platform.load_program(memory_exercise_program(region_bytes=48))
-
-    def run_to_halt():
-        platform.run_until_halt(max_cycles=200_000, chunk_cycles=1_000)
-
-    benchmark.pedantic(run_to_halt, rounds=1, iterations=1, warmup_rounds=0)
-    stats = platform.statistics
-    benchmark.extra_info["cycles"] = stats.cycles
-    benchmark.extra_info["dispatcher_fetches"] = \
-        platform.dispatcher.instruction_fetches
+    platform.run_until_halt(max_cycles=200_000, chunk_cycles=1_000)
     assert platform.microblaze.finished
     if dispatcher_enabled:
         # BRAM fetches go over the LMB, so the dispatcher sees none of them.

@@ -1,12 +1,12 @@
-"""Listing 2 microbenchmark (E12): combining concurrent elements.
+"""Listing 2 (E12): combining concurrent elements.
 
 Section 4.5.1: several processes with identical sensitivity can be replaced
 by one process calling the same computation as functions, saving scheduler
-work.  In the full model combining 3 threads bought 3 %.  This benchmark
-isolates the scheduling cost by comparing N separate single-cycle processes
-against one combined process doing identical work, for both thread and
-method registration (which also reproduces the section 4.3 thread/method
-comparison at the micro level).
+work.  In the full model combining 3 threads bought 3 %.  This check
+isolates the scheduling structure by comparing N separate single-cycle
+processes against one combined process doing identical work, for both
+thread and method registration (the section 4.3 thread/method comparison
+at the micro level).
 """
 
 from __future__ import annotations
@@ -68,17 +68,10 @@ def _build(combined: bool, use_methods: bool):
     "combined,use_methods",
     [(False, False), (False, True), (True, True)],
     ids=["separate_threads", "separate_methods", "combined_method"])
-def test_listing2_process_combination(benchmark, combined, use_methods):
-    """Scheduler cost of separate versus combined synchronous processes."""
+def test_listing2_process_combination(combined, use_methods):
+    """Separate and combined synchronous processes do the same work."""
     sim, clock, workers = _build(combined, use_methods)
-
-    def run_window():
-        sim.run(SimTime(clock.period_ps * CYCLES_PER_ROUND))
-
-    benchmark.pedantic(run_window, rounds=3, iterations=1, warmup_rounds=1)
-    benchmark.extra_info["process_activations"] = \
-        sim.stats.process_activations
-    benchmark.extra_info["processes"] = sim.process_count()
+    sim.run(SimTime(clock.period_ps * CYCLES_PER_ROUND))
     # Identical architectural work regardless of scheduling style.
     assert len(set(workers.accumulators)) == 1
     if combined:

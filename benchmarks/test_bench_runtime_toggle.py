@@ -3,7 +3,7 @@
 Section 5 of the paper stresses that every accuracy-compromising
 optimisation "can be turned on and off during run time of the simulation",
 so a user can fast-forward through known-good boot phases and drop back to
-cycle accuracy where detail matters.  This benchmark measures exactly that
+cycle accuracy where detail matters.  This check drives exactly that
 usage pattern: the same platform instance runs one window with the memory
 dispatcher off (cycle accurate), one with it on, and one after switching it
 off again, all without rebuilding the model.
@@ -32,12 +32,12 @@ def _platform() -> VanillaNetPlatform:
     return platform
 
 
-def test_runtime_dispatcher_toggle(benchmark):
+def test_runtime_dispatcher_toggle():
     """Accurate -> fast -> accurate windows on one live simulation."""
     platform = _platform()
     window_cycles = {"accurate": [], "fast": [], "accurate_again": []}
 
-    def toggled_windows():
+    for __ in range(2):
         platform.set_instruction_memory_suppression(False)
         platform.set_main_memory_suppression(False)
         window_cycles["accurate"].append(
@@ -54,16 +54,10 @@ def test_runtime_dispatcher_toggle(benchmark):
             platform.run_instructions(WINDOW_INSTRUCTIONS,
                                       chunk_cycles=200))
 
-    benchmark.pedantic(toggled_windows, rounds=2, iterations=1,
-                       warmup_rounds=0)
     mean = lambda values: sum(values) / max(1, len(values))
     accurate = mean(window_cycles["accurate"]
                     + window_cycles["accurate_again"])
     fast = mean(window_cycles["fast"])
-    benchmark.extra_info["cycles_per_window_accurate"] = round(accurate)
-    benchmark.extra_info["cycles_per_window_fast"] = round(fast)
-    benchmark.extra_info["cycle_reduction_factor"] = round(
-        accurate / max(1.0, fast), 2)
     # The fast windows consume clearly fewer simulated cycles for the same
     # instruction budget (fetches take 1 cycle instead of >= 3).
     assert fast < accurate

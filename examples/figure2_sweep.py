@@ -12,7 +12,13 @@ Each SystemC variant is booted once, snapshotted at the warm-up point,
 and every matrix cell of that variant restores the snapshot instead of
 re-simulating the boot; ``--jobs N`` spreads the cells over N worker
 processes.  Results are merged in canonical matrix order, so any jobs
-count produces identical output.
+count yields the same cells, counters and table layout.
+
+``--record`` also times the two-node ping/echo cluster on all twelve
+engine x bus level x cpu level combinations, merges every cell into
+BENCH_fig2.json and bench_history/, and writes the figure2_*.txt tables
+the measured slice spans.  Record committed numbers with ``--jobs 1``:
+parallel workers on a small host time each other's contention.
 
 Run with:  python examples/figure2_sweep.py [--jobs N] [--quick]
            [--variants initial,native_types] [--cells KEY[,KEY...]]
@@ -24,7 +30,8 @@ import os
 import pathlib
 import sys
 
-from repro.core import (ExperimentOptions, SweepCell, build_report,
+from repro.core import (ExperimentOptions, Figure2Experiment, SweepCell,
+                        build_report, format_cluster_table,
                         record_fig2_results, run_matrix_sweep)
 from repro.core.sweep import stderr_progress
 from repro.platform import VariantName
@@ -98,7 +105,7 @@ def main() -> None:
                         help="skip warm-start snapshots: every cell "
                              "re-runs its own warm-up")
     parser.add_argument("--phases", type=int, default=3,
-                        help="measurement windows per cell")
+                        help="timed rounds per cell")
     parser.add_argument("--instructions", type=int, default=250,
                         help="instruction budget per window")
     parser.add_argument("--warmup", type=int, default=250,
@@ -109,8 +116,10 @@ def main() -> None:
     parser.add_argument("--retries", type=int, default=1,
                         help="retries per failed/timed-out job")
     parser.add_argument("--record", action="store_true",
-                        help="merge the results into BENCH_fig2.json and "
-                             "the bench_history/ ledger")
+                        help="also time the cluster cells; merge every "
+                             "cell into BENCH_fig2.json and the "
+                             "bench_history/ ledger and write the "
+                             "figure2_*.txt tables")
     arguments = parser.parse_args()
 
     options = ExperimentOptions(
@@ -132,7 +141,7 @@ def main() -> None:
 
     jobs = arguments.jobs if arguments.jobs else (os.cpu_count() or 1)
     print(f"sweeping with {jobs} job(s), "
-          f"{arguments.phases} windows x {arguments.instructions} "
+          f"{arguments.phases} rounds x {arguments.instructions} "
           f"instructions per cell, warm start "
           f"{'off' if arguments.no_snapshot else 'on'} ...")
     report = run_matrix_sweep(
@@ -147,36 +156,44 @@ def main() -> None:
 
     figure = build_report(report.results)
     # The headline table shows one bar per variant (the paper's own
-    # generic-engine, signal-bus, cycle-level configuration when present);
-    # the ablation tables below spread over the other matrix dimensions.
-    bars = build_report([figure.result_for(variant)
-                         for variant in VariantName if figure.has(variant)])
-    print("\n" + bars.format_table())
-    for seam, title in (("engine", "engine comparison"),
-                        ("bus_level", "bus-level comparison"),
-                        ("cpu_level", "cpu-level comparison")):
+    # generic-engine, signal-bus, cycle-level configuration; "-" when that
+    # cell was not measured); the ablation tables below spread over the
+    # other matrix dimensions.
+    reproduction = "\n".join([
+        "Figure 2 reproduction (measured on this host, scaled boot "
+        "workload)", "", figure.format_table(), "",
+        "summary claims:",
+        *[f"  - {line}" for line in figure.summary_lines()], "",
+        "shape checks:",
+        *[f"  - {line}" for line in figure.format_shape_checks()], ""])
+    print("\n" + reproduction)
+    tables = {"figure2_reproduction.txt": reproduction}
+    for seam, title in (("engine", "engine"), ("bus_level", "bus"),
+                        ("cpu_level", "cpu")):
         table = figure.format_seam_table(seam)
         if table:
-            print(f"\n{title}:\n{table}")
-    print("\nsummary claims (paper sections 4.6 / 5.5 / 7):")
-    for line in figure.summary_lines():
-        print(f"  - {line}")
-    print("\nshape checks:")
-    for name, passed in figure.shape_checks().items():
-        print(f"  - {name}: {'PASS' if passed else 'FAIL'}")
+            print(f"{title} comparison:\n{table}\n")
+            tables[f"figure2_{title}_comparison.txt"] = table + "\n"
     for error in report.errors:
         print(f"ERROR {error['variant']}/{error['engine']}"
               f"/{error['bus_level']}/{error['cpu_level']}: "
               f"{error['error']}", file=sys.stderr)
 
     if arguments.record:
+        clusters = Figure2Experiment(options).run_cluster_comparison()
+        cluster_table = format_cluster_table(clusters)
+        print(f"cluster comparison:\n{cluster_table}")
+        tables["figure2_cluster_comparison.txt"] = cluster_table + "\n"
         record_fig2_results(report.results,
                             REPO_ROOT / "BENCH_fig2.json",
                             history_dir=REPO_ROOT / "bench_history",
-                            errors=report.errors)
+                            errors=report.errors, clusters=clusters)
+        for name, text in tables.items():
+            (REPO_ROOT / name).write_text(text)
         print(f"\nrecorded {len(report.results)} entries "
-              f"(+{len(report.errors)} error entries) into BENCH_fig2.json "
-              f"and bench_history/")
+              f"(+{len(report.errors)} error entries) and "
+              f"{len(clusters)} cluster entries into BENCH_fig2.json and "
+              f"bench_history/; wrote {', '.join(tables)}")
 
     if report.errors:
         raise SystemExit(1)

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Compare the current benchmark results against the recorded history.
 
-``benchmarks/conftest.py`` appends one snapshot of ``BENCH_fig2.json`` per
-commit into ``bench_history/`` (keyed by ``git rev-parse --short HEAD``).
+``examples/figure2_sweep.py --record`` files one snapshot of
+``BENCH_fig2.json`` per commit into ``bench_history/`` (keyed by
+``git rev-parse --short HEAD``).
 This script reads the current results plus every prior snapshot and flags
 configurations whose CPS fell below the historical reference by more than
 the noise threshold.

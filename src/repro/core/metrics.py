@@ -8,17 +8,27 @@ harness measures CPS and CPI on the scaled workload and *projects* the
 full-boot time for a reference instruction count, which is how the shape of
 Figure 2 (ordering, ratios, crossovers) is reproduced without a multi-week
 RTL simulation.
+
+:func:`measure` is the one code that times simulation speed: the Figure 2
+harness, the sweep and every speed gate go through it.  It reports a
+median with its quartiles over interleaved rounds, and compares two
+windows by the median of their per-round ratios (Kalibera & Jones,
+"Rigorous Benchmarking in Reasonable Time", ISMM 2013).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+import statistics
+import time
+from dataclasses import dataclass
+from typing import Callable, Mapping, Optional, TypeVar
 
 #: Instructions retired by a full uClinux boot, estimated from the paper:
 #: the cycle-accurate models take ~630 M cycles (61 kHz x 2 h 52 m) at a
 #: CPI of roughly 4, giving ~160 M instructions.
 REFERENCE_BOOT_INSTRUCTIONS = 160_000_000
+
+K = TypeVar("K")
 
 
 def cycles_per_second(cycles: int, wall_seconds: float) -> float:
@@ -65,123 +75,85 @@ def format_duration(seconds: float) -> str:
     return f"{secs}s"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpeedMeasurement:
-    """One measured execution window of one model variant."""
+    """What :func:`measure` records for one window: one value per timed
+    round.
 
-    label: str
-    simulated_cycles: int
-    wall_seconds: float
-    instructions_retired: int = 0
-    instructions_effective: int = 0
-    phase: Optional[str] = None
+    For a measured window each value is its rate in that round (simulated
+    cycles per second of process CPU time).  :meth:`over` turns two
+    windows measured in the same call into a comparison whose values are
+    the per-round ratios, so ``a.over(b).median`` is "a is k times b".
+    """
 
-    @property
-    def cps(self) -> float:
-        """Simulated cycles per host second."""
-        return cycles_per_second(self.simulated_cycles, self.wall_seconds)
+    values: tuple[float, ...]
 
     @property
-    def cps_khz(self) -> float:
-        """CPS in kHz."""
-        return to_khz(self.cps)
+    def rounds(self) -> int:
+        """Number of timed rounds."""
+        return len(self.values)
 
     @property
-    def cpi(self) -> float:
-        """Simulated cycles per retired instruction."""
-        if self.instructions_retired == 0:
-            return 0.0
-        return self.simulated_cycles / self.instructions_retired
+    def median(self) -> float:
+        """Median over the rounds."""
+        return statistics.median(self.values)
 
     @property
-    def instructions_per_second(self) -> float:
-        """Retired instructions per host second."""
-        if self.wall_seconds <= 0:
-            return 0.0
-        return self.instructions_retired / self.wall_seconds
+    def quartiles(self) -> tuple[float, float]:
+        """First and third quartile over the rounds (inclusive method)."""
+        if len(self.values) < 2:
+            return self.median, self.median
+        first, __, third = statistics.quantiles(self.values, n=4,
+                                                method="inclusive")
+        return first, third
 
-    @property
-    def effective_cps(self) -> float:
-        """CPS scaled by architectural work actually accomplished.
+    def over(self, base: "SpeedMeasurement") -> "SpeedMeasurement":
+        """The per-round ratios of this window over ``base``.
 
-        When kernel-function capture replaces instructions with zero-time
-        native execution, the retired-instruction CPS understates progress;
-        the paper reports the resulting "effective simulation speed"
-        (578 kHz for the final model).
+        Round *i* of one window ran next to round *i* of the other, so
+        each ratio cancels whatever the host did during that round.
         """
-        if self.instructions_retired == 0 \
-                or self.instructions_effective <= self.instructions_retired:
-            return self.cps
-        scale = self.instructions_effective / self.instructions_retired
-        return self.cps * scale
+        if len(self.values) != len(base.values):
+            raise ValueError(f"cannot pair {len(self.values)} rounds with "
+                             f"{len(base.values)}")
+        return SpeedMeasurement(tuple(
+            speedup(value, reference)
+            for value, reference in zip(self.values, base.values)))
+
+    def __str__(self) -> str:
+        first, third = self.quartiles
+        return (f"median {self.median:.4g}, IQR {first:.4g}-{third:.4g}, "
+                f"{self.rounds} rounds")
 
 
-@dataclass
-class AggregatedSpeed:
-    """Statistics over repeated measurements (the paper averages 50 points)."""
+def measure(windows: Mapping[K, Callable[[], int]], rounds: int,
+            setup: Optional[Callable[[K], object]] = None
+            ) -> dict[K, SpeedMeasurement]:
+    """Time ``windows`` against each other over ``rounds`` rounds.
 
-    label: str
-    measurements: list[SpeedMeasurement] = field(default_factory=list)
+    Each window advances one model and returns the simulated cycles it
+    advanced.  One untimed warm-up round runs every window once, so lazily
+    built state is in place; then each timed round runs every window once,
+    in the mapping's order (A B A B ...), so drift on the host falls on
+    every window alike.  Time is process CPU time, which other processes
+    on the host do not add to.  Every timed run is kept: nothing is
+    retried and no reading is dropped or replaced by a better one.
 
-    def add(self, measurement: SpeedMeasurement) -> None:
-        """Record one measurement."""
-        self.measurements.append(measurement)
-
-    @property
-    def count(self) -> int:
-        """Number of recorded measurements."""
-        return len(self.measurements)
-
-    @property
-    def mean_cps(self) -> float:
-        """Arithmetic mean of CPS over all measurements."""
-        if not self.measurements:
-            return 0.0
-        return sum(m.cps for m in self.measurements) / len(self.measurements)
-
-    @property
-    def mean_cpi(self) -> float:
-        """Arithmetic mean CPI over all measurements with instruction data."""
-        values = [m.cpi for m in self.measurements if m.cpi > 0]
-        if not values:
-            return 0.0
-        return sum(values) / len(values)
-
-    @property
-    def mean_effective_cps(self) -> float:
-        """Arithmetic mean effective CPS."""
-        if not self.measurements:
-            return 0.0
-        return sum(m.effective_cps for m in self.measurements) \
-            / len(self.measurements)
-
-    @property
-    def total_cycles(self) -> int:
-        """Total simulated cycles across all measurements."""
-        return sum(m.simulated_cycles for m in self.measurements)
-
-    @property
-    def total_wall_seconds(self) -> float:
-        """Total host time across all measurements."""
-        return sum(m.wall_seconds for m in self.measurements)
-
-    def projected_boot_seconds(
-            self,
-            boot_instructions: int = REFERENCE_BOOT_INSTRUCTIONS) -> float:
-        """Host seconds a full boot would take for this variant.
-
-        Uses the measured CPI to turn the reference instruction count into
-        cycles, then divides by the measured CPS.  For variants with
-        kernel-function capture the *effective* instruction throughput is
-        used, reproducing the paper's halved boot time for bar 10.
-        """
-        mean_cps = self.mean_cps
-        if mean_cps <= 0:
-            return float("inf")
-        cpi = self.mean_cpi if self.mean_cpi > 0 else 1.0
-        retired = sum(m.instructions_retired for m in self.measurements)
-        effective = sum(m.instructions_effective for m in self.measurements)
-        if effective > retired > 0:
-            boot_instructions = boot_instructions * retired / effective
-        projected_cycles = boot_instructions * cpi
-        return projected_cycles / mean_cps
+    ``setup(key)``, when given, runs untimed before each run of the window
+    ``key``; a window that needs a fresh model every round builds it
+    there.
+    """
+    if rounds < 1:
+        raise ValueError("measure needs at least one timed round")
+    rates: dict[K, list[float]] = {key: [] for key in windows}
+    for timed in [False] + [True] * rounds:
+        for key, window in windows.items():
+            if setup is not None:
+                setup(key)
+            started = time.process_time()
+            cycles = window()
+            elapsed = time.process_time() - started
+            if timed:
+                rates[key].append(cycles_per_second(cycles, elapsed))
+    return {key: SpeedMeasurement(tuple(values))
+            for key, values in rates.items()}

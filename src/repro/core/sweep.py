@@ -26,8 +26,9 @@ canonical matrix order regardless of completion order, so ``--jobs 8``
 and ``--jobs 1`` produce byte-identical artifacts.
 
 The ``BENCH_fig2.json`` document helpers (load/merge/write plus the
-per-commit ``bench_history/`` ledger) live here too, shared by the
-benchmark suite's ``conftest`` and the example sweep driver.
+per-commit ``bench_history/`` ledger) live here too;
+``examples/figure2_sweep.py --record`` is their one caller that writes
+into the checkout.
 """
 
 from __future__ import annotations
@@ -210,10 +211,6 @@ def _measure_cell_job(cell: SweepCell, options: ExperimentOptions,
                       timeout_s: Optional[float]) -> dict:
     """Measure one matrix cell, warm-starting from a snapshot file."""
     def work() -> VariantResult:
-        experiment = Figure2Experiment(options)
-        if cell.variant is VariantName.RTL_HDL:
-            return experiment.measure_variant(cell.variant,
-                                              engine=cell.engine)
         snapshot = None
         if snapshot_path is not None:
             snapshot = _WORKER_SNAPSHOTS.get(snapshot_path)
@@ -221,7 +218,7 @@ def _measure_cell_job(cell: SweepCell, options: ExperimentOptions,
                 snapshot = pickle.loads(
                     pathlib.Path(snapshot_path).read_bytes())
                 _WORKER_SNAPSHOTS[snapshot_path] = snapshot
-        return experiment._measure_systemc(
+        return Figure2Experiment(options).measure_variant(
             cell.variant, cell.engine, cell.bus_level, cell.cpu_level,
             snapshot=snapshot)
 
@@ -542,17 +539,6 @@ def merge_cluster_results(document: dict, results) -> dict:
     return document
 
 
-def record_cluster_results(results, path: pathlib.Path,
-                           history_dir: Optional[pathlib.Path] = None
-                           ) -> dict:
-    """Load-merge-write cluster cells and update the history ledger."""
-    document = merge_cluster_results(load_fig2_results(path), results)
-    write_fig2_results(document, path)
-    if history_dir is not None:
-        record_bench_history(document, history_dir)
-    return document
-
-
 def write_fig2_results(document: dict, path: pathlib.Path) -> None:
     """Serialise a document byte-stably (sorted keys, trailing newline)."""
     pathlib.Path(path).write_text(
@@ -594,12 +580,16 @@ def record_bench_history(document: dict, history_dir: pathlib.Path,
 def record_fig2_results(results: Iterable[VariantResult],
                         path: pathlib.Path,
                         history_dir: Optional[pathlib.Path] = None,
-                        errors: Iterable[dict] = ()) -> dict:
+                        errors: Iterable[dict] = (),
+                        clusters=()) -> dict:
     """Load-merge-write ``BENCH_fig2.json`` and update the history ledger.
 
-    Returns the full document written.
+    ``clusters`` are measured cluster cells
+    (:class:`~repro.core.experiment.ClusterResult`), merged next to the
+    single-node entries.  Returns the full document written.
     """
     document = merge_fig2_results(load_fig2_results(path), results, errors)
+    merge_cluster_results(document, clusters)
     write_fig2_results(document, path)
     if history_dir is not None:
         record_bench_history(document, history_dir)

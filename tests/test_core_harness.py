@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.sweep import _JobTimeout, _call_with_timeout
-from repro.core import (AggregatedSpeed, ExperimentOptions, Figure2Experiment,
+from repro.core import (ExperimentOptions, Figure2Experiment,
                         REFERENCE_BOOT_INSTRUCTIONS, SpeedMeasurement,
-                        build_report, cycles_per_second, format_duration,
-                        speedup, to_khz)
+                        VariantResult, build_report, cycles_per_second,
+                        format_duration, measure, speedup, to_khz)
 from repro.platform import (PAPER_FIGURE2_CPS_KHZ, VariantName,
                             all_systemc_variants, variant_config)
 from repro.signals import DataMode
@@ -47,59 +47,129 @@ class TestMetrics:
 
 class TestSpeedMeasurement:
     def test_basic_properties(self):
-        m = SpeedMeasurement("x", simulated_cycles=10_000, wall_seconds=0.5,
-                             instructions_retired=2_000,
-                             instructions_effective=2_000)
-        assert m.cps == 20_000
-        assert m.cps_khz == 20.0
-        assert m.cpi == 5.0
-        assert m.instructions_per_second == 4_000
-        assert m.effective_cps == m.cps
+        speed = SpeedMeasurement((40.0, 10.0, 30.0, 20.0))
+        assert speed.rounds == 4
+        assert speed.median == 25.0
+        assert speed.quartiles == (17.5, 32.5)
+        assert str(speed) == "median 25, IQR 17.5-32.5, 4 rounds"
+        single = SpeedMeasurement((7.0,))
+        assert (single.median, single.quartiles) == (7.0, (7.0, 7.0))
 
     def test_effective_cps_scales_with_interception(self):
-        m = SpeedMeasurement("x", simulated_cycles=10_000, wall_seconds=1.0,
-                             instructions_retired=1_000,
-                             instructions_effective=2_000)
-        assert m.effective_cps == pytest.approx(2 * m.cps)
+        result = VariantResult(VariantName.KERNEL_FUNCTION_CAPTURE,
+                               SpeedMeasurement((10_000.0,)), cycles=10_000,
+                               instructions_retired=1_000,
+                               instructions_effective=2_000)
+        assert result.cps_khz == 10.0
+        assert result.cpi == 10.0
+        assert result.effective_cps_khz == pytest.approx(2 * result.cps_khz)
 
     def test_zero_instruction_window(self):
-        m = SpeedMeasurement("x", simulated_cycles=100, wall_seconds=0.1)
-        assert m.cpi == 0.0
-        assert m.effective_cps == m.cps
-
-
-class TestAggregatedSpeed:
-    def _aggregate(self, cps_values, cpi=4.0):
-        aggregate = AggregatedSpeed("test")
-        for index, cps in enumerate(cps_values):
-            cycles = 10_000
-            aggregate.add(SpeedMeasurement(
-                f"m{index}", simulated_cycles=cycles,
-                wall_seconds=cycles / cps,
-                instructions_retired=int(cycles / cpi),
-                instructions_effective=int(cycles / cpi)))
-        return aggregate
-
-    def test_mean_cps(self):
-        aggregate = self._aggregate([1000, 3000])
-        assert aggregate.mean_cps == pytest.approx(2000)
-        assert aggregate.count == 2
-
-    def test_mean_cpi(self):
-        aggregate = self._aggregate([1000], cpi=5.0)
-        assert aggregate.mean_cpi == pytest.approx(5.0)
+        result = VariantResult(VariantName.INITIAL,
+                               SpeedMeasurement((1_000.0,)), cycles=100)
+        assert result.cpi == 0.0
+        assert result.effective_cps_khz == result.cps_khz
 
     def test_projected_boot_scales_with_cpi_and_cps(self):
-        fast = self._aggregate([10_000], cpi=2.0)
-        slow = self._aggregate([10_000], cpi=4.0)
-        assert fast.projected_boot_seconds() < slow.projected_boot_seconds()
-        reference = REFERENCE_BOOT_INSTRUCTIONS * 2.0 / 10_000
-        assert fast.projected_boot_seconds() == pytest.approx(reference)
+        def result(cpi, cps, effective=1):
+            return VariantResult(VariantName.INITIAL,
+                                 SpeedMeasurement((cps,)),
+                                 cycles=10_000 * cpi,
+                                 instructions_retired=10_000,
+                                 instructions_effective=10_000 * effective)
+        reference = REFERENCE_BOOT_INSTRUCTIONS * 2.0 / 10_000 / 60
+        assert result(2, 10_000).projected_boot_minutes \
+            == pytest.approx(reference)
+        assert result(4, 10_000).projected_boot_minutes \
+            == pytest.approx(2 * reference)
+        assert result(2, 20_000).projected_boot_minutes \
+            == pytest.approx(reference / 2)
+        # Captured instructions cost no cycles: half the boot is retired.
+        assert result(2, 10_000, effective=2).projected_boot_minutes \
+            == pytest.approx(reference / 2)
+        assert result(2, 0.0).projected_boot_minutes == float("inf")
 
-    def test_empty_aggregate(self):
-        aggregate = AggregatedSpeed("empty")
-        assert aggregate.mean_cps == 0.0
-        assert aggregate.projected_boot_seconds() == float("inf")
+
+class _ScriptedClock:
+    """A stand-in for ``time.process_time`` that windows advance."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.calls = []
+
+    def __call__(self):
+        return self.now
+
+    def window(self, name, durations, cycles=60):
+        """A window whose runs take ``durations`` (warm-up first)."""
+        remaining = iter(durations)
+
+        def run():
+            self.calls.append(name)
+            self.now += next(remaining)
+            return cycles
+        return run
+
+
+class TestMeasure:
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        clock = _ScriptedClock()
+        monkeypatch.setattr(time, "process_time", clock)
+        return clock
+
+    def test_warm_up_round_is_untimed(self, clock):
+        speeds = measure({"a": clock.window("a", [1000.0, 6.0, 3.0]),
+                          "b": clock.window("b", [0.001, 2.0, 2.0])}, 2)
+        assert speeds["a"].values == (10.0, 20.0)
+        assert speeds["b"].values == (30.0, 30.0)
+
+    def test_windows_interleave_round_by_round(self, clock):
+        measure({"a": clock.window("a", [1.0] * 3),
+                 "b": clock.window("b", [1.0] * 3)}, 2)
+        assert clock.calls == ["a", "b"] * 3
+
+    def test_median_and_quartiles_are_exact(self, clock):
+        speed = measure({"a": clock.window(
+            "a", [1.0, 1.5, 6.0, 3.0, 2.0, 1.25])}, 5)["a"]
+        assert speed.values == (40.0, 10.0, 20.0, 30.0, 48.0)
+        assert speed.rounds == 5
+        assert speed.median == 30.0
+        assert speed.quartiles == (20.0, 40.0)
+
+    def test_comparison_is_median_of_per_round_ratios(self, clock):
+        speeds = measure({"a": clock.window("a", [1.0, 6.0, 3.0, 2.0]),
+                          "b": clock.window("b", [1.0, 6.0, 1.5, 4.0])}, 3)
+        assert speeds["a"].values == (10.0, 20.0, 30.0)
+        assert speeds["b"].values == (10.0, 40.0, 15.0)
+        ratio = speeds["a"].over(speeds["b"])
+        assert ratio.values == (1.0, 0.5, 2.0)
+        assert ratio.median == 1.0
+        # Not the ratio of the medians, which pairs no two windows.
+        assert speeds["a"].median / speeds["b"].median == 20.0 / 15.0
+
+    def test_slow_round_is_never_replaced(self, clock):
+        speed = measure({"a": clock.window(
+            "a", [1.0, 1.0, 60.0, 1.0])}, 3)["a"]
+        assert clock.calls == ["a"] * 4
+        assert speed.values == (60.0, 1.0, 60.0)
+        assert speed.median == 60.0
+        assert speed.quartiles == (30.5, 60.0)
+
+    def test_setup_runs_untimed_before_each_run(self, clock):
+        def setup(key):
+            clock.calls.append(f"setup {key}")
+            clock.now += 100.0
+        speed = measure({"a": clock.window("a", [1.0, 2.0])}, 1,
+                        setup=setup)["a"]
+        assert clock.calls == ["setup a", "a", "setup a", "a"]
+        assert speed.values == (30.0,)
+
+    def test_rejects_rounds_it_cannot_pair(self, clock):
+        with pytest.raises(ValueError):
+            measure({"a": clock.window("a", [1.0])}, 0)
+        with pytest.raises(ValueError):
+            SpeedMeasurement((1.0, 2.0)).over(SpeedMeasurement((1.0,)))
 
 
 class TestVariantConfigs:
@@ -152,7 +222,7 @@ class TestExperimentHarness:
     @pytest.fixture(scope="class")
     def mini_report(self):
         options = ExperimentOptions(instructions_per_phase=150, phases=2,
-                                    rtl_cycles_per_phase=600,
+                                    rtl_cycles_per_phase=100,
                                     boot_scale=0.1, chunk_cycles=200)
         experiment = Figure2Experiment(options)
         results = experiment.run([
@@ -166,9 +236,10 @@ class TestExperimentHarness:
 
     def test_measurements_recorded(self, mini_report):
         for result in mini_report.results:
-            assert result.speed.count >= 1
-            assert result.speed.total_cycles > 0
-            assert result.speed.total_wall_seconds > 0
+            assert result.speed.rounds == 2
+            assert all(rate > 0 for rate in result.speed.values)
+            assert result.cycles > 0
+            assert result.instructions_retired > 0
 
     def test_rtl_slower_than_any_systemc_model(self, mini_report):
         rtl_cps = mini_report.cps(VariantName.RTL_HDL)
