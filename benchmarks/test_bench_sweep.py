@@ -112,7 +112,7 @@ class TestErrorHardening:
         report = run_matrix_sweep(
             options=OPTIONS, variants=[VariantName.INITIAL],
             engines=[ENGINE_GENERIC], bus_levels=[BUS_SIGNAL],
-            cpu_levels=[CPU_CYCLE], jobs=1, timeout_s=0.05, retries=0,
+            cpu_levels=[CPU_CYCLE], jobs=1, timeout_s=0.05,
             use_snapshots=False)
         assert report.results == []
         assert len(report.errors) == 1

@@ -113,8 +113,6 @@ def main() -> None:
                              "window (the snapshot point)")
     parser.add_argument("--timeout", type=float, default=600.0,
                         help="per-job watchdog timeout in seconds")
-    parser.add_argument("--retries", type=int, default=1,
-                        help="retries per failed/timed-out job")
     parser.add_argument("--record", action="store_true",
                         help="also time the cluster cells; merge every "
                              "cell into BENCH_fig2.json and the "
@@ -147,12 +145,12 @@ def main() -> None:
     report = run_matrix_sweep(
         options=options, variants=variants, engines=engines,
         bus_levels=bus_levels, cpu_levels=cpu_levels, cells=cells,
-        jobs=jobs, timeout_s=arguments.timeout, retries=arguments.retries,
+        jobs=jobs, timeout_s=arguments.timeout,
         use_snapshots=not arguments.no_snapshot,
         progress=stderr_progress)
     print(f"measured {len(report.results)}/{report.cells_total} cells in "
           f"{report.elapsed_seconds:.1f}s "
-          f"({report.retries_used} retries, {len(report.errors)} errors)")
+          f"({len(report.errors)} errors)")
 
     figure = build_report(report.results)
     # The headline table shows one bar per variant (the paper's own

@@ -8,7 +8,7 @@ fabrics) lives in :mod:`repro.bus.transport`.
 from .lmb import (BRAM_BASE_ADDRESS, BRAM_SIZE, LMB_ACCESS_CYCLES,
                   LocalMemoryBus)
 from .opb import (DATA_MASTER, INSTRUCTION_MASTER, OpbArbiter, OpbMasterPort,
-                  OpbSlave)
+                  OpbSlave, WarpParticipant)
 from .signals import OpbBusSignals, OpbInterconnect, OpbMasterSignals
 from .transport import (BUS_FUNCTIONAL, BUS_SIGNAL, BUS_TRANSACTION,
                         BusTransport, FunctionalFabric, SignalFabric,
@@ -35,6 +35,7 @@ __all__ = [
     "OpbSlave",
     "SignalFabric",
     "TransactionFabric",
+    "WarpParticipant",
     "bus_levels",
     "create_fabric",
     "protocol_transfer_cycles",

@@ -149,8 +149,9 @@ class OpbArbiter(Module, SimComponent):
         self.process = None
         if register_process:
             self.process = self.sc_process(
-                self._arbitrate, sensitive=[clock.posedge_event()],
-                use_method=use_method, dont_initialize=True)
+                self.arbitrate, sensitive=[clock.posedge_event()],
+                use_method=use_method, dont_initialize=True,
+                name="_arbitrate")
 
     # -- gating support (section 5.3) ----------------------------------------
     def register_gated_slave(self, base_address: int, size: int,
@@ -174,7 +175,7 @@ class OpbArbiter(Module, SimComponent):
         self.per_master_transactions.update(state["per_master_transactions"])
 
     # -- the per-cycle process -------------------------------------------------
-    def _arbitrate(self) -> None:
+    def arbitrate(self) -> None:
         bus = self.interconnect.bus
         if bus.reset.read_bit():
             bus.select.write(0)
@@ -214,7 +215,41 @@ class OpbArbiter(Module, SimComponent):
                     break
 
 
-class OpbSlave(Module, SimComponent):
+class WarpParticipant:
+    """What a quantum-level master asks a device around a warp.
+
+    As in TLM-2.0 temporal decoupling, the master's quantum keeper asks
+    its targets instead of reading their state; each answers next to
+    that state.  The defaults own no process, bound nothing and park
+    nothing.
+    """
+
+    #: The clock processes this device owns, which a warp detaches.
+    warp_processes: tuple = ()
+
+    def warp_ready(self, servicing: bool) -> bool:
+        """Whether a warp may start (``servicing``: an interrupt handler
+        runs with the request still latched)."""
+        return True
+
+    def warp_horizon_ps(self) -> Optional[int]:
+        """The earliest time the warp must surface at (None: none), asked
+        at every sub-burst; after a surfacing, now ends the warp there."""
+        return None
+
+    def park(self) -> Optional[int]:
+        """A warp starts now: return the earliest time it must end at, or
+        None."""
+        return None
+
+    def unpark(self) -> None:
+        """The warp charged nothing: undo :meth:`park`."""
+
+    def resume(self, now: int) -> None:
+        """The warp ended at ``now``: catch up with what it skipped."""
+
+
+class OpbSlave(Module, SimComponent, WarpParticipant):
     """Base class for OPB-attached peripherals.
 
     Subclasses implement :meth:`read_register` and :meth:`write_register`
@@ -425,14 +460,13 @@ class OpbSlave(Module, SimComponent):
         return False
 
     def warp_access(self, address: int, value: Optional[int], size: int,
-                    edge_ps: int, horizon_ps: Optional[int]):
+                    edge_ps: int):
         """Perform an access :meth:`warp_serves` approved.
 
         ``edge_ps`` is the simulated time the protocol lands the access
-        on, ahead of the kernel clock; ``horizon_ps`` the earliest time a
-        link may deliver a frame to the master's node (None: unlinked).
-        Returns the read value, or after a store None or one of
-        ``WARP_FLUSH``/``WARP_ACK``; ``WARP_RETRY`` performs nothing.
+        on, ahead of the kernel clock.  Returns the read value, or after a
+        store None or one of ``WARP_FLUSH``/``WARP_ACK``; ``WARP_RETRY``
+        performs nothing.
         """
         if value is None:
             return self.target_read(address, size)

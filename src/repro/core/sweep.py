@@ -19,11 +19,11 @@ matrix into independent jobs and runs them over a
 
 Cells of a family are submitted the moment that family's boot finishes,
 so boots and measurements overlap.  Every job runs under a watchdog
-timeout (``SIGALRM``); a failed or timed-out job is retried, and after
-the retries are exhausted it becomes an explicit *error record* in the
-report -- never a silently missing cell.  Results are merged in
-canonical matrix order regardless of completion order, so ``--jobs 8``
-and ``--jobs 1`` produce byte-identical artifacts.
+timeout (``SIGALRM``); a failed or timed-out job becomes an explicit
+*error record* in the report -- never a silently missing cell, and never
+retried.  Results are merged in canonical matrix order regardless of
+completion order, so ``--jobs 8`` and ``--jobs 1`` produce
+byte-identical artifacts.
 
 The ``BENCH_fig2.json`` document helpers (load/merge/write plus the
 per-commit ``bench_history/`` ledger) live here too;
@@ -239,7 +239,7 @@ class SweepReport:
 
     #: Successful measurements, in canonical matrix order.
     results: list[VariantResult] = field(default_factory=list)
-    #: Error records of cells that failed after all retries: dicts with
+    #: Error records of cells that failed: dicts with
     #: ``variant``/``engine``/``bus_level``/``cpu_level``/``error``.
     errors: list[dict] = field(default_factory=list)
     jobs: int = 1
@@ -247,7 +247,6 @@ class SweepReport:
     #: True when warm-start snapshots were taken and used.
     snapshots_used: bool = False
     cells_total: int = 0
-    retries_used: int = 0
 
     def raise_on_errors(self) -> None:
         """Raise ``RuntimeError`` when any cell ended as an error record."""
@@ -306,7 +305,6 @@ def run_matrix_sweep(options: Optional[ExperimentOptions] = None,
                      cells: Optional[Sequence[SweepCell]] = None,
                      jobs: Optional[int] = None,
                      timeout_s: Optional[float] = 600.0,
-                     retries: int = 1,
                      use_snapshots: bool = True,
                      progress: Optional[Callable[[str], None]] = None
                      ) -> SweepReport:
@@ -317,9 +315,8 @@ def run_matrix_sweep(options: Optional[ExperimentOptions] = None,
     overrides the dimension arguments with an explicit cell list.
     Snapshot warm starts need ``options.warmup_instructions > 0`` and
     ``use_snapshots=True``; otherwise every cell warms up (or starts
-    cold) by itself.  Jobs that fail or overrun ``timeout_s`` are
-    retried ``retries`` times, then recorded in
-    :attr:`SweepReport.errors`.
+    cold) by itself.  A job that fails or overruns ``timeout_s`` is
+    recorded in :attr:`SweepReport.errors` on its first failure.
     """
     started = time.perf_counter()
     if options is None:
@@ -349,55 +346,40 @@ def run_matrix_sweep(options: Optional[ExperimentOptions] = None,
     report.snapshots_used = bool(families)
     progress_line = _Progress(len(families) + len(cells), progress)
 
-    def record_cell(outcome: dict, attempts_left: int) -> bool:
-        """Fold a finished cell job in; returns True to retry it."""
+    def record_cell(outcome: dict) -> None:
+        """Fold a finished cell job in."""
         cell = outcome["cell"]
         if outcome["ok"]:
             results_by_cell[cell] = outcome["result"]
             progress_line.advance(f"{cell.key} ok")
-            return False
-        if attempts_left > 0:
-            report.retries_used += 1
-            return True
+            return
         report.errors.append(_error_record(cell, outcome["error"]))
         progress_line.advance(f"{cell.key} ERROR")
-        return False
 
-    def record_family(outcome: dict, attempts_left: int) -> bool:
-        """Fold a finished family boot in; returns True to retry it."""
+    def record_family(outcome: dict) -> None:
+        """Fold a finished family boot in."""
         variant = outcome["variant"]
         if outcome["ok"]:
             snapshot_paths[variant] = outcome["path"]
             progress_line.advance(f"boot {variant.value} ok")
-            return False
-        if attempts_left > 0:
-            report.retries_used += 1
-            return True
+            return
         # Cells of this family fall back to warming up individually.
         snapshot_paths[variant] = None
         progress_line.advance(f"boot {variant.value} ERROR "
                               f"({outcome['error']}); cells warm serially")
-        return False
 
     with tempfile.TemporaryDirectory(prefix="repro-sweep-") as snapshot_dir:
         if jobs == 1:
             for variant in families:
-                for attempt in range(retries + 1):
-                    outcome = _boot_family_job(variant, options,
-                                               snapshot_dir, timeout_s)
-                    if not record_family(outcome, retries - attempt):
-                        break
+                record_family(_boot_family_job(variant, options,
+                                               snapshot_dir, timeout_s))
             for cell in cells:
-                path = snapshot_paths.get(cell.variant)
-                for attempt in range(retries + 1):
-                    outcome = _measure_cell_job(cell, options, path,
-                                                timeout_s)
-                    if not record_cell(outcome, retries - attempt):
-                        break
+                record_cell(_measure_cell_job(
+                    cell, options, snapshot_paths.get(cell.variant),
+                    timeout_s))
         else:
             _run_pool(cells, families, options, snapshot_dir, jobs,
-                      timeout_s, retries, snapshot_paths, record_cell,
-                      record_family)
+                      timeout_s, snapshot_paths, record_cell, record_family)
 
     progress_line.finish()
     report.results = [results_by_cell[cell] for cell in cells
@@ -410,7 +392,7 @@ def run_matrix_sweep(options: Optional[ExperimentOptions] = None,
 
 
 def _run_pool(cells, families, options, snapshot_dir, jobs, timeout_s,
-              retries, snapshot_paths, record_cell, record_family) -> None:
+              snapshot_paths, record_cell, record_family) -> None:
     """Drive the two sweep phases over one process pool.
 
     Family boots are submitted first; a family's cells are submitted the
@@ -428,25 +410,21 @@ def _run_pool(cells, families, options, snapshot_dir, jobs, timeout_s,
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = {}
 
-        def submit_family(variant, attempts_left):
-            futures[pool.submit(_boot_family_job, variant, options,
-                                snapshot_dir, timeout_s)] = \
-                ("family", variant, attempts_left)
-
-        def submit_cell(cell, attempts_left):
+        def submit_cell(cell):
             futures[pool.submit(_measure_cell_job, cell, options,
                                 snapshot_paths.get(cell.variant),
-                                timeout_s)] = ("cell", cell, attempts_left)
+                                timeout_s)] = ("cell", cell)
 
         for variant in families:
-            submit_family(variant, retries)
+            futures[pool.submit(_boot_family_job, variant, options,
+                                snapshot_dir, timeout_s)] = ("family", variant)
         for cell in independent:
-            submit_cell(cell, retries)
+            submit_cell(cell)
 
         while futures:
             done, _ = wait(list(futures), return_when=FIRST_COMPLETED)
             for future in done:
-                kind, subject, attempts_left = futures.pop(future)
+                kind, subject = futures.pop(future)
                 try:
                     outcome = future.result()
                 except Exception as error:  # worker process died
@@ -455,14 +433,11 @@ def _run_pool(cells, families, options, snapshot_dir, jobs, timeout_s,
                     outcome["cell" if kind == "cell" else "variant"] = \
                         subject
                 if kind == "family":
-                    if record_family(outcome, attempts_left):
-                        submit_family(subject, attempts_left - 1)
-                    else:
-                        for cell in by_family.get(subject, ()):
-                            submit_cell(cell, retries)
+                    record_family(outcome)
+                    for cell in by_family.get(subject, ()):
+                        submit_cell(cell)
                 else:
-                    if record_cell(outcome, attempts_left):
-                        submit_cell(subject, attempts_left - 1)
+                    record_cell(outcome)
 
 
 # ---------------------------------------------------------------------- #

@@ -38,16 +38,18 @@ STACK_POINTER = 1
 class RegisterFile:
     """The 32 general-purpose registers, with ``r0`` hard-wired to zero."""
 
-    __slots__ = ("_regs",)
+    __slots__ = ("values",)
 
     def __init__(self) -> None:
-        self._regs = [0] * 32
+        #: The register values.  The ISS binds this very list, so it is
+        #: written in place, never replaced.
+        self.values = [0] * 32
 
     def read(self, index: int) -> int:
         """Value of register ``index`` (unsigned 32-bit)."""
         if not 0 <= index < 32:
             raise IndexError(f"register index out of range: {index}")
-        return self._regs[index]
+        return self.values[index]
 
     def write(self, index: int, value: int) -> None:
         """Write register ``index``; writes to ``r0`` are discarded."""
@@ -55,16 +57,16 @@ class RegisterFile:
             raise IndexError(f"register index out of range: {index}")
         if index == 0:
             return
-        self._regs[index] = value & WORD_MASK
+        self.values[index] = value & WORD_MASK
 
     def reset(self) -> None:
         """Clear every register."""
         for i in range(32):
-            self._regs[i] = 0
+            self.values[i] = 0
 
     def dump(self) -> dict[str, int]:
         """Snapshot of all registers keyed by ``rN`` name."""
-        return {f"r{i}": self._regs[i] for i in range(32)}
+        return {f"r{i}": self.values[i] for i in range(32)}
 
     def __getitem__(self, index: int) -> int:
         return self.read(index)
@@ -73,7 +75,7 @@ class RegisterFile:
         self.write(index, value)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        nonzero = {f"r{i}": hex(v) for i, v in enumerate(self._regs) if v}
+        nonzero = {f"r{i}": hex(v) for i, v in enumerate(self.values) if v}
         return f"RegisterFile({nonzero})"
 
 

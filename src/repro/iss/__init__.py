@@ -7,7 +7,7 @@ from .interception import (InterceptionResult, InvalidatingDirectMemory,
                            memset_handler)
 from .statistics import ExecutionStatistics
 from .wrapper import (CPU_CYCLE, CPU_QUANTUM, INTERRUPT_ENTRY_CYCLES,
-                      MicroBlazeWrapper, QuantumContext, cpu_levels)
+                      MicroBlazeWrapper, cpu_levels)
 
 __all__ = [
     "CPU_CYCLE",
@@ -20,7 +20,6 @@ __all__ = [
     "KernelFunctionInterceptor",
     "MicroBlazeCore",
     "MicroBlazeWrapper",
-    "QuantumContext",
     "StepResult",
     "cpu_levels",
     "memcpy_handler",

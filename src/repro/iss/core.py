@@ -229,7 +229,7 @@ class MicroBlazeCore(SimComponent):
 
     def preview_store_value(self, instruction: Instruction) -> int:
         """Value the given store instruction will write (pre-step preview)."""
-        return self.regs._regs[instruction.rd] \
+        return self.regs.values[instruction.rd] \
             & _SIZE_MASKS[instruction.access_size]
 
     # ------------------------------------------------------------------ #
@@ -266,7 +266,7 @@ class MicroBlazeCore(SimComponent):
     def _operand_b(self, instruction: Instruction) -> int:
         if instruction.fmt is _TYPE_B:
             return self._imm32(instruction)
-        return self.regs._regs[instruction.rb]
+        return self.regs.values[instruction.rb]
 
     # ------------------------------------------------------------------ #
     # instruction semantics
@@ -316,7 +316,7 @@ class MicroBlazeCore(SimComponent):
     _NO_BRANCH = (0, False, None, False)
 
     def _exec_add(self, instruction: Instruction) -> tuple:
-        a = self.regs._regs[instruction.ra]
+        a = self.regs.values[instruction.ra]
         b = self._operand_b(instruction)
         use_carry, keep_carry = CARRY_FLAGS[instruction.mnemonic]
         total = a + b + (self.msr.carry if use_carry else 0)
@@ -326,7 +326,7 @@ class MicroBlazeCore(SimComponent):
         return self._NO_BRANCH
 
     def _exec_rsub(self, instruction: Instruction) -> tuple:
-        a = self.regs._regs[instruction.ra]
+        a = self.regs.values[instruction.ra]
         b = self._operand_b(instruction)
         use_carry, keep_carry = CARRY_FLAGS[instruction.mnemonic]
         addend = self.msr.carry if use_carry else 1
@@ -349,7 +349,7 @@ class MicroBlazeCore(SimComponent):
         return self._NO_BRANCH
 
     def _exec_logic(self, instruction: Instruction) -> tuple:
-        a = self.regs._regs[instruction.ra]
+        a = self.regs.values[instruction.ra]
         b = self._operand_b(instruction)
         op = LOGIC_OPS[instruction.mnemonic]
         if op == "or":
@@ -468,7 +468,7 @@ class MicroBlazeCore(SimComponent):
 
     def _exec_cond_branch(self, instruction: Instruction) -> tuple:
         pc = self.pc
-        a = to_signed(self.regs._regs[instruction.ra])
+        a = to_signed(self.regs.values[instruction.ra])
         if not _CONDITIONS[instruction.condition](a):
             return self._NO_BRANCH
         offset = self._imm32(instruction) \
@@ -501,7 +501,7 @@ class MicroBlazeCore(SimComponent):
     def _exec_store(self, instruction: Instruction) -> tuple:
         address = self._effective_address(instruction)
         size = instruction.access_size
-        value = self.regs._regs[instruction.rd] & _SIZE_MASKS[size]
+        value = self.regs.values[instruction.rd] & _SIZE_MASKS[size]
         self.store(address, value, size)
         self.stats.stores += 1
         if self._decoded:
@@ -509,7 +509,7 @@ class MicroBlazeCore(SimComponent):
         return (0, False, address, True)
 
     def _effective_address(self, instruction: Instruction) -> int:
-        values = self.regs._regs
+        values = self.regs.values
         offset = self._imm32(instruction) if instruction.fmt is _TYPE_B \
             else values[instruction.rb]
         return (values[instruction.ra] + offset) & WORD_MASK
@@ -642,7 +642,7 @@ class MicroBlazeCore(SimComponent):
         """
         stats = self.stats
         return {
-            "regs": list(self.regs._regs),
+            "regs": list(self.regs.values),
             "msr": self.msr.value,
             "pc": self.pc,
             "ear": self.ear,
@@ -663,10 +663,10 @@ class MicroBlazeCore(SimComponent):
         """Restore the state captured by :meth:`capture_state`.
 
         Register contents are written *in place*: decoded-cache closures
-        bind ``regs._regs`` (and the MSR object) by identity, so the
+        bind ``regs.values`` (and the MSR object) by identity, so the
         containers themselves must never be replaced.
         """
-        self.regs._regs[:] = state["regs"]
+        self.regs.values[:] = state["regs"]
         self.msr.value = state["msr"]
         self.pc = state["pc"]
         self.ear = state["ear"]

@@ -181,7 +181,7 @@ class _Source:
 
     def __init__(self, core) -> None:
         self.lines: list[str] = []
-        self.ns = {"R": core.regs._regs, "msr": core.msr, "st": core.stats,
+        self.ns = {"R": core.regs.values, "msr": core.msr, "st": core.stats,
                    "dec": core._decoded,
                    "U4": _WORD.unpack_from, "P4": _WORD.pack_into,
                    "U2": _HALF.unpack_from, "P2": _HALF.pack_into}

@@ -31,11 +31,11 @@ from __future__ import annotations
 from typing import Optional
 
 from ..bus.lmb import LMB_ACCESS_CYCLES, LocalMemoryBus
-from ..bus.opb import DATA_MASTER, INSTRUCTION_MASTER, WARP_ACK, WARP_RETRY
+from ..bus.opb import (DATA_MASTER, INSTRUCTION_MASTER, WARP_ACK, WARP_RETRY,
+                       WarpParticipant)
 from ..bus.transport import (ACK_TO_MASTER_CYCLES, BUS_FUNCTIONAL,
                              BUS_TRANSACTION, BusTransport,
                              protocol_transfer_cycles)
-from ..datatypes import WORD_MASK
 from ..kernel.component import SimComponent
 from ..kernel.errors import ModelError
 from ..kernel.module import Module
@@ -69,45 +69,6 @@ CPU_QUANTUM = "quantum"
 def cpu_levels() -> tuple[str, ...]:
     """All CPU abstraction-level selector names."""
     return (CPU_CYCLE, CPU_QUANTUM)
-
-
-class QuantumContext:
-    """Everything the time-quantum fast path must observe and control.
-
-    The warp may only run while the platform is *quiescent*: every process
-    statically sensitive to the clock's rising edge is one the warp knows
-    how to detach and reconcile (the ISS execute thread itself, the UART
-    transmit threads, and the timer/interrupt-controller tick processes
-    passed as ``extra_processes``), and no interrupt can be in flight.
-    ``blocked`` latches permanently when an unknown edge-sensitive process
-    exists (tracer, pin-level slave decoders, arbiter): the platform then
-    simply stays on the per-cycle path.
-
-    ``ethernet`` *bounds* the warp dynamically while a network link is
-    attached to the MAC.  The link's fixed positive latency is a
-    conservative lookahead: ``earliest_delivery_ps`` is the soonest any
-    cross-node frame can reach this node, so bursts run freely up to (but
-    never across) that horizon.  While the MAC's RX interrupt is enabled
-    the horizon caps every burst -- a delivery still interrupts on
-    exactly the cycle the per-cycle path would take it on; while it is
-    disabled only RX-observing register accesses are pinned behind the
-    horizon.  A platform whose MAC is never linked keeps the unbounded
-    fast path.
-    """
-
-    def __init__(self, clock, uarts=(), timer=None, intc=None,
-                 extra_processes=(), ethernet=None) -> None:
-        self.clock = clock
-        self.uarts = tuple(uarts)
-        self.timer = timer
-        self.intc = intc
-        self.ethernet = ethernet
-        self.extra_processes = tuple(
-            process for process in extra_processes if process is not None)
-        #: Latched when the platform can structurally never warp.
-        self.blocked = False
-        #: The full set of detachable processes (filled by enable_quantum).
-        self.known_processes: set = set()
 
 
 class MicroBlazeWrapper(Module, SimComponent):
@@ -150,7 +111,12 @@ class MicroBlazeWrapper(Module, SimComponent):
         self.decoupled_until_ps: Optional[int] = None
         #: Instructions per time quantum when temporally decoupled.
         self.quantum_instructions = 1024
-        self._quantum: Optional[QuantumContext] = None
+        #: The warp participants, those with a horizon, and every clock
+        #: process a warp may detach (see :meth:`enable_quantum`).
+        self._participants = self._surfacing = ()
+        self._detachable: set = set()
+        #: Set until enable_quantum, and for good once a warp never can.
+        self._warp_blocked = True
         #: Bumped whenever instruction routing may have changed (memory
         #: suppression toggles); stale per-entry fetch timings re-route.
         self._route_epoch = 0
@@ -205,20 +171,25 @@ class MicroBlazeWrapper(Module, SimComponent):
         """Instructions retired so far."""
         return self.core.stats.instructions_retired
 
-    def enable_quantum(self, context: QuantumContext,
+    def enable_quantum(self, participants,
                        quantum_instructions: int = 1024) -> None:
         """Switch to temporally-decoupled execution (``cpu_level=quantum``).
 
-        ``context`` names the platform processes the fast path may detach
-        from the clock while it warps time forward; any rising-edge process
-        outside that set permanently disables the fast path (the wrapper
-        then behaves exactly like the per-cycle level).
+        ``participants`` (:class:`~repro.bus.opb.WarpParticipant`) own the
+        clock processes a warp detaches.  A rising-edge process none of
+        them owns (a tracer, a pin-level decoder, the arbiter) disables
+        the fast path for good: the wrapper then behaves exactly like the
+        per-cycle level.
         """
-        context.known_processes = set(context.extra_processes)
-        context.known_processes.add(self.main_process)
-        for uart in context.uarts:
-            context.known_processes.add(uart._tx_thread)
-        self._quantum = context
+        self._participants = tuple(participants)
+        self._surfacing = tuple(
+            participant for participant in participants
+            if type(participant).warp_horizon_ps
+            is not WarpParticipant.warp_horizon_ps)
+        self._detachable = {self.main_process}
+        for participant in self._participants:
+            self._detachable.update(participant.warp_processes)
+        self._warp_blocked = False
         self.quantum_instructions = max(1, quantum_instructions)
         self.cpu_level = CPU_QUANTUM
 
@@ -235,9 +206,8 @@ class MicroBlazeWrapper(Module, SimComponent):
         reached halt address), so the generator frame holds no in-flight
         bus transaction that would need to be serialized.
         """
-        thread = self.main_process
-        event = thread._timeout_event
-        if not (thread._waiting_time and event._pending_kind == "timed"):
+        wake = self.main_process.timed_wake_ps
+        if wake is None:
             raise ModelError(
                 "snapshot requires the execute thread to be parked on its "
                 "idle timeout (run to a budget or halt first)")
@@ -249,7 +219,7 @@ class MicroBlazeWrapper(Module, SimComponent):
             "fetched_word": self._fetched_word,
             "load_value": self._load_value,
             "instruction_cycles": self._instruction_cycles,
-            "wake_time_ps": event._pending_time,
+            "wake_time_ps": wake,
         }
 
     def restore_state(self, state: dict) -> None:
@@ -257,15 +227,12 @@ class MicroBlazeWrapper(Module, SimComponent):
 
         Pre-starts the execute thread so its generator parks on the idle
         timeout exactly as at capture time (the parked body touches no core
-        state while ``finished`` is set), injects the saved state, then
-        re-arms the idle wakeup at its absolute snapshot time.
+        state while ``finished`` is set), with the idle wakeup re-armed at
+        its absolute snapshot time, then injects the saved state.
         """
-        thread = self.main_process
-        if thread._started:
-            raise ModelError("restore_state requires a fresh wrapper")
         self.finished = True
         self.max_instructions = None
-        thread.execute()
+        self.main_process.prestart(state["wake_time_ps"])
         self.finished = state["finished"]
         self.max_instructions = state["max_instructions"]
         self.halt_address = state["halt_address"]
@@ -273,9 +240,6 @@ class MicroBlazeWrapper(Module, SimComponent):
         self._fetched_word = state["fetched_word"]
         self._load_value = state["load_value"]
         self._instruction_cycles = state["instruction_cycles"]
-        event = thread._timeout_event
-        event.cancel()
-        event.notify(state["wake_time_ps"] - self.sim.time_ps)
 
     def state_children(self) -> dict:
         return {"core": self.core}
@@ -293,12 +257,10 @@ class MicroBlazeWrapper(Module, SimComponent):
                 if self.finish_callback is not None:
                     self.finish_callback()
                 continue
-            quantum = self._quantum
-            if quantum is not None and not quantum.blocked \
-                    and self._quantum_can_engage(quantum):
+            if not self._warp_blocked and self._quantum_can_engage():
                 # The engage probe runs out here so a refused cycle costs
                 # one call, not a generator construction plus unwind.
-                if (yield from self._quantum_burst(quantum)):
+                if (yield from self._quantum_burst()):
                     continue
             if self.interceptor is not None:
                 self.interceptor.maybe_intercept(core)
@@ -346,8 +308,8 @@ class MicroBlazeWrapper(Module, SimComponent):
                 and not self.core.in_delay_slot)
 
     # -- the temporally-decoupled fast path ----------------------------------
-    def _quantum_can_engage(self, ctx: QuantumContext) -> bool:
-        """Cheapest-first quiescence checks; may latch ``ctx.blocked``."""
+    def _quantum_can_engage(self) -> bool:
+        """Cheapest-first quiescence checks; may latch ``_warp_blocked``."""
         core = self.core
         servicing = False
         if core.interrupt_pending:
@@ -360,10 +322,8 @@ class MicroBlazeWrapper(Module, SimComponent):
             # dropped the request in-warp first (``WARP_ACK``), so entry
             # and exit edges stay exact.
             servicing = True
-        if ctx.intc is not None and not ctx.intc.warp_ready(servicing):
-            return False
-        for uart in ctx.uarts:
-            if not uart.warp_ready():
+        for participant in self._participants:
+            if not participant.warp_ready(servicing):
                 return False
         # The next fetch must be servable without simulated time, otherwise
         # detaching and reverting every cycle would only add overhead.
@@ -374,36 +334,27 @@ class MicroBlazeWrapper(Module, SimComponent):
             dmi_region = getattr(self.transport, "dmi_region", None)
             if dmi_region is None or dmi_region(pc)[0] is None:
                 return False
-        clock = ctx.clock
+        clock = self.clock
         posedge = clock.posedge_event()
-        known = ctx.known_processes
-        for process in posedge._static_procs:
-            if process not in known:
-                ctx.blocked = True
+        for process in posedge.static_processes:
+            if process not in self._detachable:
+                self._warp_blocked = True
                 return False
-        if posedge._dynamic_procs:
+        if posedge.dynamic_processes:
             return False
         for event in (clock.negedge_event(), clock.default_event()):
-            if event._static_procs or event._dynamic_procs:
-                ctx.blocked = True
+            if event.static_processes or event.dynamic_processes:
+                self._warp_blocked = True
                 return False
-        # Bounds within one cycle leave no room for even the cheapest
-        # instruction: the burst could only charge zero cycles and revert,
-        # so skip the detach/park round-trip and let the per-cycle path
-        # carry execution across the break point.
-        end_time = self.sim._run_end_time
-        if end_time is not None \
-                and end_time - self.sim.time_ps < clock.period_ps:
-            return False
-        ethernet = ctx.ethernet
-        if ethernet is not None and ethernet.link is not None \
-                and not ethernet.detached and ethernet.rx_interrupt_enabled:
-            horizon = ethernet.link.earliest_delivery_ps(ethernet.link_port)
-            if horizon - self.sim.time_ps < clock.period_ps:
-                return False
-        return True
+        # A run window ending within one cycle leaves no room for even the
+        # cheapest instruction: the burst could only charge zero cycles and
+        # revert, so skip the detach/park round-trip and let the per-cycle
+        # path carry execution across the break point.
+        end_time = self.sim.run_end_ps
+        return end_time is None \
+            or end_time - self.sim.time_ps >= clock.period_ps
 
-    def _quantum_burst(self, ctx: QuantumContext):
+    def _quantum_burst(self):
         """Execute up to one time quantum against DMI-backed memory.
 
         Runs at a rising-edge activation, after ``_quantum_can_engage``
@@ -415,18 +366,15 @@ class MicroBlazeWrapper(Module, SimComponent):
         next instruction starts on exactly the cycle the per-cycle path
         would have reached.
 
-        On a linked node the warp is additionally bounded by the link's
-        delivery horizon: while the MAC's RX interrupt is enabled, no
-        sub-burst runs across ``earliest_delivery_ps`` -- the warp
-        surfaces there, lets due frames deliver, and either keeps warping
-        (horizon moved, nothing arrived) or ends so the re-attached
-        interrupt wiring latches the RX interrupt on the exact per-cycle
-        cycle.  Device register accesses their slave approves
-        (``warp_serves``) are served in-line with full fabric bookkeeping
-        instead of ending the warp; the slave pins accesses that observe
-        RX state behind the horizon, and ones that could move an
-        interrupt edge end the warp first.  ``stats.warp_ends`` counts
-        why each warp ended.
+        The warp ends at the earliest bound a participant sets when it
+        parks (the timer's expiry) or at the end of the kernel's run
+        window.  A participant's horizon (``warp_horizon_ps``, a linked
+        MAC's next possible delivery) bounds each sub-burst: the warp
+        surfaces there, lets what is due happen, and keeps warping unless
+        the participant ends it.  Device register accesses their slave
+        approves (``warp_serves``) are served in-line with full fabric
+        bookkeeping instead of ending the warp.  ``stats.warp_ends``
+        counts why each warp ended.
 
         Returns True when at least one cycle was charged; False leaves
         the kernel state untouched so the caller runs the ordinary
@@ -437,47 +385,33 @@ class MicroBlazeWrapper(Module, SimComponent):
         dispatcher = self.dispatcher
         transport = self.transport
         interceptor = self.interceptor
-        clock = ctx.clock
-        posedge = clock.posedge_event()
-        period = clock.period_ps
+        participants = self._participants
+        surfacing = self._surfacing
+        posedge = self.clock.posedge_event()
+        period = self.clock.period_ps
         # ---- detach the clocked world ---------------------------------
-        detached = tuple(posedge._static_procs)
+        detached = posedge.static_processes
         for process in detached:
             posedge.remove_static(process)
-        for uart in ctx.uarts:
-            uart.park()
-        # ---- warp horizon ---------------------------------------------
-        ethernet = ctx.ethernet
-        link = None
-        eth_port = 0
-        if ethernet is not None and ethernet.link is not None \
-                and not ethernet.detached:
-            link = ethernet.link
-            eth_port = ethernet.link_port
-        # A pre-existing high RX level (latched and being serviced, or
-        # IER-masked) cannot edge during the warp: new deliveries keep the
-        # level high without a signal transition, and every RX-observing
-        # access is pinned behind the horizon anyway.  Only a *rise* from
-        # low has interrupt timing to protect.
-        eth_irq_high = link is not None and bool(ethernet.interrupt._current)
         # Latched while the core holds an unserviced interrupt request
         # (stable for the whole warp: the detached controller poll is the
         # only writer).  Guards the IE-setting instructions below.
         guard_ie = core.interrupt_pending
-        timer = ctx.timer
-        ticking = timer is not None and timer.enabled
-        hard_bound = (0x1_0000_0000 - timer.counter) if ticking else None
+        # ---- warp bound -----------------------------------------------
         # Never warp past the end of the kernel's current run window: a
         # bounded ``run_cycles`` call must return with the same cycles
         # charged at every abstraction level, so stimulus the testbench
         # applies between run calls (suppression toggles, injected
         # characters) lands on the same instruction it would per-cycle.
         warp_start = self.sim.time_ps
-        end_time = self.sim._run_end_time
-        if end_time is not None:
-            window = (end_time - warp_start) // period
-            if hard_bound is None or window < hard_bound:
-                hard_bound = window
+        end_time = self.sim.run_end_ps
+        for participant in participants:
+            bound_ps = participant.park()
+            if bound_ps is not None \
+                    and (end_time is None or bound_ps < end_time):
+                end_time = bound_ps
+        hard_bound = None if end_time is None \
+            else (end_time - warp_start) // period
         budget = None
         if self.max_instructions is not None:
             budget = self.max_instructions - core.stats.instructions_retired
@@ -530,21 +464,19 @@ class MicroBlazeWrapper(Module, SimComponent):
         executed = 0
         while True:
             # Per-sub-burst bound: the nearest upcoming break point in
-            # warp-relative cycles.  The link horizon only bounds the
-            # sub-burst while the RX interrupt is enabled -- disabled, a
-            # delivery is invisible until software polls, and the
-            # RX-observing accesses themselves are pinned behind
-            # ``rx_horizon`` instead.
+            # warp-relative cycles.  A surfacing participant's horizon
+            # wins a tie, so the warp surfaces there.
             bound = hard_bound
-            link_limited = False
-            rx_horizon = None
-            if link is not None:
-                rx_horizon = link.earliest_delivery_ps(eth_port)
-                if ethernet.rx_interrupt_enabled:
-                    link_bound = (rx_horizon - warp_start) // period
-                    if bound is None or link_bound <= bound:
-                        bound = link_bound
-                        link_limited = True
+            horizon_limited = False
+            for participant in surfacing:
+                horizon_ps = participant.warp_horizon_ps()
+                if horizon_ps is not None:
+                    horizon_bound = (horizon_ps - warp_start) // period
+                    if bound is None or horizon_bound <= bound:
+                        bound = horizon_bound
+                        horizon_limited = True
+            if horizon_limited and bound <= cycles:
+                break  # a participant ends the warp where it surfaced
             flush = False
             sub_start = cycles
             # ``(head entry, records, PCs seen, invalidation stamp)`` while
@@ -688,7 +620,7 @@ class MicroBlazeWrapper(Module, SimComponent):
                     # that would cross it is left undone: the path that
                     # carries execution across performs and books it once.
                     ended = "bound"
-                    flush = link_limited
+                    flush = horizon_limited
                     break
                 if region is not None:
                     if entry.is_load:
@@ -721,8 +653,7 @@ class MicroBlazeWrapper(Module, SimComponent):
                     # horizon, retried after a flush.
                     answer = slave.warp_access(
                         address, value, size, warp_start + period * (
-                            cycles + step_cycles - ACK_TO_MASTER_CYCLES),
-                        rx_horizon)
+                            cycles + step_cycles - ACK_TO_MASTER_CYCLES))
                     if answer is WARP_RETRY:
                         flush = True
                         break
@@ -765,34 +696,20 @@ class MicroBlazeWrapper(Module, SimComponent):
             # ---- horizon flush ----------------------------------------
             # Surface exactly at the sub-burst end.  Frames due here are
             # delivered in the timed phase, before this thread resumes, so
-            # the MAC/link state below is final for this cycle.  The
+            # the surfacing participants see this cycle's final state.  The
             # parked-until promise lets peers chain their own horizons off
             # this node's virtual position instead of the kernel clock.
             self.decoupled_until_ps = warp_start + cycles * period
             yield (cycles - charged) * period
             charged = cycles
-            eth_irq = ethernet.interrupt
-            if not eth_irq_high \
-                    and (eth_irq._current or eth_irq._update_requested):
-                # A delivery raised (or is about to commit) the RX
-                # interrupt: end the warp so the re-attached controller
-                # poll latches it on this very edge, exactly per-cycle.
-                # (A level that was already high at the last flush stays
-                # high -- or falls edge-invisibly behind the in-warp mask
-                # write -- so it has no timing to protect.)
-                break
-            # Re-latch against the level as of this flush: a warp may now
-            # span the handler's mask and the bottom half's re-enable, so
-            # a fall behind the mask must make later rises visible again.
-            eth_irq_high = bool(eth_irq.pending_value)
         if cycles == 0:
             # Nothing charged: restore the world untouched, zero cost.  The
             # parked notifications are revived in place via the kernel's
             # staleness rule, so no queue traffic happens either.
             for process in detached:
                 posedge.add_static(process)
-            for uart in ctx.uarts:
-                uart.unpark()
+            for participant in participants:
+                participant.unpark()
             return False
         stats.add_cycles(cycles)
         stats.quantum_warps += 1
@@ -803,15 +720,11 @@ class MicroBlazeWrapper(Module, SimComponent):
             self.decoupled_until_ps = warp_start + cycles * period
             yield (cycles - charged) * period
         # ---- reconcile ------------------------------------------------
-        if ticking:
-            # The final increment happens live: the re-attached count
-            # process runs on this very edge, which also keeps expiry,
-            # auto-reload and interrupt generation on the exact cycle.
-            timer.counter = (timer.counter + cycles - 1) & WORD_MASK
         for process in detached:
             posedge.add_static(process)
-        for uart in ctx.uarts:
-            uart.resume(self.sim.time_ps)
+        now = self.sim.time_ps
+        for participant in participants:
+            participant.resume(now)
         # Re-align with the rising edge this wait matured on.
         yield None
         self.decoupled_until_ps = None

@@ -79,11 +79,6 @@ class SimulationEngine:
         self._stop_requested = False
         self._finished = False
         self._max_delta_cycles = 10_000
-        #: End of the active :meth:`run` window in picoseconds (None for an
-        #: unbounded run).  Temporally-decoupled models consult this so a
-        #: warp never charges time past the point where the caller regains
-        #: control -- external stimulus applied between ``run`` calls then
-        #: lands on the same cycle at every abstraction level.
         self._run_end_time: Optional[int] = None
         self._end_of_elaboration_callbacks: list[Callable[[], None]] = []
         self._activation_trace: Optional[List[str]] = None
@@ -199,6 +194,22 @@ class SimulationEngine:
     def finished(self) -> bool:
         """True when no further activity is possible."""
         return self._finished
+
+    @property
+    def run_end_ps(self) -> Optional[int]:
+        """End of the active :meth:`run` window in picoseconds (None for an
+        unbounded run).  Temporally-decoupled models consult this so a
+        warp never charges time past the point where the caller regains
+        control -- external stimulus applied between ``run`` calls then
+        lands on the same cycle at every abstraction level."""
+        return self._run_end_time
+
+    @property
+    def quiescent(self) -> bool:
+        """True when no process is runnable and no channel update or delta
+        notification is pending (timed notifications may be)."""
+        return not (self._runnable or self._update_queue
+                    or self._delta_events)
 
     def initialize(self) -> None:
         """Run elaboration callbacks and seed the initial runnable set."""

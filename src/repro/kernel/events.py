@@ -78,9 +78,14 @@ class Event:
             pass
 
     @property
-    def waiting_processes(self) -> Iterable["Process"]:
-        """All processes that would be triggered by a notification."""
-        return tuple(self._static_procs) + tuple(self._dynamic_procs)
+    def static_processes(self) -> tuple["Process", ...]:
+        """The processes statically sensitive to this event."""
+        return tuple(self._static_procs)
+
+    @property
+    def dynamic_processes(self) -> tuple["Process", ...]:
+        """The processes waiting on this event for one activation only."""
+        return tuple(self._dynamic_procs)
 
     # -- notification ------------------------------------------------------
     def notify(self, delay: "SimTime | int | None" = None) -> None:

@@ -221,6 +221,43 @@ class ThreadProcess(Process):
         self._waiting_time = False
         self._make_runnable()
 
+    # -- the timed wake, for snapshots and temporal decoupling ---------------
+    @property
+    def timed_wake_ps(self) -> Optional[int]:
+        """The absolute time a pending timed wait wakes the thread at, or
+        None."""
+        event = self._timeout_event
+        if self._waiting_time and event._pending_kind == "timed":
+            return event._pending_time
+        return None
+
+    def hold_wake(self) -> int:
+        """Hold the timed wake and return its time: the queued entry goes
+        stale in place (a cancel would rebuild the generic engine's heap)."""
+        event = self._timeout_event
+        event._pending_kind = None
+        return event._pending_time
+
+    def revive_wake(self) -> None:
+        """Make the entry :meth:`hold_wake` left queued live again."""
+        self._timeout_event._pending_kind = "timed"
+
+    def wake_at(self, time_ps: int) -> None:
+        """Re-arm the timed wake at absolute ``time_ps``."""
+        event = self._timeout_event
+        if event._pending_kind is not None:
+            event.cancel()
+        event.notify(time_ps - self.sim.time_ps)
+
+    def prestart(self, wake_ps: Optional[int]) -> None:
+        """Run a fresh thread to its first wait outside the scheduler (a
+        snapshot restore), then re-arm its timed wake at ``wake_ps``."""
+        if self._started:
+            raise KernelError(f"thread {self.name!r} already started")
+        self.execute()
+        if wake_ps is not None:
+            self.wake_at(wake_ps)
+
     # -- execution ----------------------------------------------------------
     def execute(self) -> None:
         self._runnable_queued = False

@@ -120,6 +120,9 @@ class EthernetMacProxy(OpbSlave):
         self.tx_master = None
         #: TX staging FIFO (words written through ``TX_DATA``).
         self._tx_staging: list[int] = []
+        #: A warp's current delivery horizon and latched RX level.
+        self._warp_horizon: int | None = None
+        self._irq_high = False
         #: Received frames awaiting software, oldest first.
         self._rx_frames: deque[bytes] = deque()
         #: Word cursor into the head RX frame.
@@ -202,8 +205,7 @@ class EthernetMacProxy(OpbSlave):
         return not (self._enables_rx_interrupt(address, value)
                     and self.rx_pending)
 
-    def warp_access(self, address: int, value, size: int, edge_ps: int,
-                    horizon_ps):
+    def warp_access(self, address: int, value, size: int, edge_ps: int):
         """Perform an access ahead of the clock, at ``edge_ps``.
 
         On or past the delivery horizon it waits (``WARP_RETRY``) unless
@@ -212,11 +214,12 @@ class EthernetMacProxy(OpbSlave):
         raise the interrupt.  Served ahead of the horizon, that enable
         leaves the level low, so the write itself is edge-invisible; the
         master surfaces right after it (``WARP_FLUSH``) so its next
-        stretch is bounded by the horizon.  A ``TX_GO`` commits its frame
+        sub-burst is bounded by the horizon.  A ``TX_GO`` commits its frame
         at ``edge_ps``, so the link derives the per-cycle due time.
         """
         store = value is not None
         enabling = self._enables_rx_interrupt(address, value)
+        horizon_ps = self._warp_horizon
         if horizon_ps is not None and edge_ps >= horizon_ps and (
                 enabling or not self.served_ahead_of_delivery(address, store)):
             return WARP_RETRY
@@ -228,6 +231,41 @@ class EthernetMacProxy(OpbSlave):
         finally:
             self.tx_commit_ps = None
         return WARP_FLUSH if enabling else None
+
+    # -- warp participant (a quantum-level CPU running ahead) ----------------
+    # No frame arrives before the link's ``earliest_delivery_ps``.  While
+    # ``RX_IE`` is set a warp surfaces there, so a delivery interrupts on
+    # the per-cycle cycle; while it is clear only the RX-observing accesses
+    # wait for it (:meth:`warp_access`).
+    def warp_ready(self, servicing: bool) -> bool:
+        """With ``RX_IE`` set, a cycle must fit before the next delivery."""
+        if self.link is None or not self.rx_interrupt_enabled:
+            return True
+        return self.link.earliest_delivery_ps(self.link_port) \
+            - self.sim.time_ps >= self.clock.period_ps
+
+    def park(self) -> None:
+        # Only a rise from low has timing to protect: a high level (being
+        # serviced, or IER-masked) stays high through new deliveries.
+        self._irq_high = bool(self.interrupt.value)
+        self._warp_horizon = None
+
+    def warp_horizon_ps(self):
+        """The next possible delivery, kept for :meth:`warp_access`; or,
+        once the warp surfaced and a delivery raised the RX interrupt (or
+        is about to), now, so the warp ends and the controller latches it
+        on this edge.  The latch follows the level: a warp may span the
+        handler's mask and the bottom half's re-enable, and a fall behind
+        the mask makes later rises visible again."""
+        if self.link is None:
+            return None
+        irq = self.interrupt
+        if self._warp_horizon is not None:
+            if not self._irq_high and (irq.value or irq.pending_value):
+                return self.sim.time_ps
+            self._irq_high = bool(irq.pending_value)
+        self._warp_horizon = self.link.earliest_delivery_ps(self.link_port)
+        return self._warp_horizon if self.rx_interrupt_enabled else None
 
     def _enables_rx_interrupt(self, address: int, value) -> bool:
         """True for a linked MAC's store that sets ``CONTROL.RX_IE``."""
@@ -291,17 +329,17 @@ class EthernetMacProxy(OpbSlave):
 
     def _update_interrupt(self) -> None:
         level = 1 if (self._rx_frames and self.rx_interrupt_enabled) else 0
-        if self.interrupt._next != level:
+        if self.interrupt.pending_value != level:
             self.interrupt.write(level)
 
     # -- checkpoint / restore -----------------------------------------------
     def capture_state(self) -> dict:
-        """Plain-data snapshot of the register file, FIFOs and interrupt."""
+        """Plain-data snapshot of the register file and FIFOs (the
+        interrupt line is a state child)."""
         return {
             "registers": dict(self.registers),
             "access_count": self.access_count,
             "transactions": self.transactions,
-            "interrupt_level": self.interrupt._current,
             "tx_staging": list(self._tx_staging),
             "rx_frames": [bytes(frame) for frame in self._rx_frames],
             "rx_cursor": self._rx_cursor,
@@ -316,17 +354,12 @@ class EthernetMacProxy(OpbSlave):
         self.registers.update(state["registers"])
         self.access_count = state["access_count"]
         self.transactions = state["transactions"]
-        # Older snapshots (pre frame support) carry only the register file.
-        level = state.get("interrupt_level", 0)
-        self.interrupt._current = level
-        self.interrupt._next = level
-        self._tx_staging = list(state.get("tx_staging", ()))
-        self._rx_frames = deque(bytes(frame)
-                                for frame in state.get("rx_frames", ()))
-        self._rx_cursor = state.get("rx_cursor", 0)
-        self.frames_sent = state.get("frames_sent", 0)
-        self.frames_received = state.get("frames_received", 0)
-        self.frames_dropped = state.get("frames_dropped", 0)
+        self._tx_staging = list(state["tx_staging"])
+        self._rx_frames = deque(bytes(frame) for frame in state["rx_frames"])
+        self._rx_cursor = state["rx_cursor"]
+        self.frames_sent = state["frames_sent"]
+        self.frames_received = state["frames_received"]
+        self.frames_dropped = state["frames_dropped"]
 
     def state_children(self) -> dict:
         return {"interrupt": self.interrupt}

@@ -51,11 +51,11 @@ class InterruptController(OpbSlave):
         #: Interrupt output towards the MicroBlaze.
         self.irq = Signal(sim, f"{name}.irq", 0)
         self._inputs: list[tuple[int, Signal]] = []
-        self._poll_process = None
         if poll_process:
-            self._poll_process = self.sc_process(
-                self._poll_inputs, sensitive=[clock.posedge_event()],
-                use_method=use_method, dont_initialize=True)
+            self.warp_processes = (self.sc_process(
+                self.poll_inputs, sensitive=[clock.posedge_event()],
+                use_method=use_method, dont_initialize=True,
+                name="_poll_inputs"),)
 
     # -- wiring ---------------------------------------------------------------
     def connect_input(self, bit: int, source: Signal) -> None:
@@ -120,7 +120,7 @@ class InterruptController(OpbSlave):
         return {"irq": self.irq}
 
     # -- behaviour --------------------------------------------------------------------
-    def _poll_inputs(self) -> None:
+    def poll_inputs(self) -> None:
         """Latch the level inputs into ISR each cycle and drive the output."""
         for bit, source in self._inputs:
             if source.value:
@@ -137,7 +137,7 @@ class InterruptController(OpbSlave):
         """Currently pending (enabled and latched) interrupts."""
         return self.isr & self.ier
 
-    # -- temporal decoupling (a quantum-level CPU running ahead) ------------
+    # -- warp participant (a quantum-level CPU running ahead) ----------------
     def warp_ready(self, servicing: bool) -> bool:
         """Whether the CPU may run ahead with this controller's poll
         detached, i.e. whether re-polling during the warp would change
@@ -180,8 +180,8 @@ class InterruptController(OpbSlave):
             return False
         return not any(source.pending_value for _bit, source in self._inputs)
 
-    def warp_access(self, address: int, value, size: int, edge_ps: int,
-                    horizon_ps) -> str:
+    def warp_access(self, address: int, value, size: int,
+                    edge_ps: int) -> str:
         """Perform the acknowledge :meth:`warp_serves` approved."""
         self.target_write(address, value, size)
         return WARP_ACK

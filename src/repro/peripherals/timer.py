@@ -56,11 +56,11 @@ class OpbTimer(OpbSlave):
         self.interrupt = Signal(sim, f"{name}.interrupt", 0)
         #: Number of times the counter wrapped / matched (statistics).
         self.expirations = 0
-        self._count_process = None
         if count_process:
-            self._count_process = self.sc_process(
-                self._count, sensitive=[clock.posedge_event()],
-                use_method=use_method, dont_initialize=True)
+            self.warp_processes = (self.sc_process(
+                self.tick, sensitive=[clock.posedge_event()],
+                use_method=use_method, dont_initialize=True, name="_count"),)
+        self._parked_ps = None  # where a warp started, counter running
 
     # -- register interface ----------------------------------------------------
     def read_register(self, offset: int, size: int) -> int:
@@ -96,18 +96,34 @@ class OpbTimer(OpbSlave):
         that leave ``ENABLE`` as it is (the handler's write-one-to-clear
         of ``TINT``, say).
 
-        A warp never crosses an expiry (the master bounds it there), so
-        only these writes change ``control`` or ``load_value`` under it;
+        A warp never crosses an expiry (:meth:`park`), so only these
+        writes change ``control`` or ``load_value`` under it;
         clearing ``TINT`` only lowers the interrupt line, and the
         controller latches only lines that are high.  ``TCR`` reads see
-        a counter the warp reconciles only at its end, and starting or
-        stopping the counter moves that bound: both end the warp.
+        a counter reconciled only when the warp ends (:meth:`resume`),
+        and starting or stopping the counter moves that bound: both end
+        the warp.
         """
         offset = (address - self.base_address) & 0xF
         if offset == self.REG_TCSR:
             return value is None \
                 or bool(value & self.CTRL_ENABLE) == self.enabled
         return offset == self.REG_TLR
+
+    # -- warp participant (a quantum-level CPU running ahead) ----------------
+    def park(self):
+        """The expiry edge bounds the warp: the count must make it live."""
+        self._parked_ps = self.sim.time_ps if self.enabled else None
+        if self._parked_ps is None:
+            return None
+        return self._parked_ps \
+            + (0x1_0000_0000 - self.counter) * self.clock.period_ps
+
+    def resume(self, now: int) -> None:
+        """Count the warp's cycles but the last, which the count makes live."""
+        if self._parked_ps is not None:
+            cycles = (now - self._parked_ps) // self.clock.period_ps
+            self.counter = (self.counter + cycles - 1) & WORD_MASK
 
     # -- checkpoint / restore --------------------------------------------------
     def capture_state(self) -> dict:
@@ -142,7 +158,7 @@ class OpbTimer(OpbSlave):
         """True while the interrupt flag is set."""
         return bool(self.control & self.CTRL_INTERRUPT_FLAG)
 
-    def _count(self) -> None:
+    def tick(self) -> None:
         if not self.enabled:
             return
         self.counter = (self.counter + 1) & WORD_MASK

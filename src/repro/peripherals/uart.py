@@ -109,6 +109,7 @@ class UartLite(OpbSlave):
                                          sensitive=[clock.posedge_event()],
                                          dont_initialize=True,
                                          name="tx")
+        self.warp_processes = (self._tx_thread,)
         #: While a warp holds the thread parked (see :meth:`park`): its
         #: parked wake, the next wake on its grid, and whether it is exact.
         self._parked_wake = self._next_wake = 0
@@ -156,30 +157,20 @@ class UartLite(OpbSlave):
 
     # -- checkpoint / restore ------------------------------------------------
     def capture_state(self) -> dict:
-        """Plain-data snapshot of the UART, its FIFOs and its console.
+        """Plain-data snapshot of the UART and its console (the FIFOs are
+        state children).
 
         With multicycle sleep active the transmit thread must be parked on
         its timed sleep (the absolute wake time is captured); with
         ``tx_sleep_cycles <= 1`` it parks on static clock sensitivity and
         needs no re-arm.
         """
-        thread = self._tx_thread
-        event = thread._timeout_event
-        if thread._waiting_time and event._pending_kind == "timed":
-            wake = event._pending_time
-        elif thread._waiting_static:
-            wake = None
-        else:
+        wake = self._tx_thread.timed_wake_ps
+        if wake is None and self.tx_sleep_cycles > 1:
             raise ModelError(
                 f"snapshot requires UART {self.name!r} transmit thread to "
                 f"be parked")
         return {
-            "tx_items": list(self.tx_fifo._items),
-            "tx_written": self.tx_fifo.total_written,
-            "tx_read": self.tx_fifo.total_read,
-            "rx_items": list(self.rx_fifo._items),
-            "rx_written": self.rx_fifo.total_written,
-            "rx_read": self.rx_fifo.total_read,
             "interrupt_enabled": self.interrupt_enabled,
             "tx_thread_activations": self.tx_thread_activations,
             "transactions": self.transactions,
@@ -192,66 +183,45 @@ class UartLite(OpbSlave):
         """Restore :meth:`capture_state` output into a fresh UART.
 
         Pre-starts the transmit thread on empty state (it drains nothing
-        and parks), then injects the saved FIFO/console contents and
-        re-arms the timed sleep at its absolute snapshot time.
+        and parks) with its timed sleep re-armed at its absolute snapshot
+        time, then injects the saved console contents; the FIFOs restore
+        as state children.
         """
-        thread = self._tx_thread
-        if thread._started:
-            raise ModelError("restore_state requires a fresh UART")
-        thread.execute()
-        self.tx_fifo._items.clear()
-        self.tx_fifo._items.extend(state["tx_items"])
-        self.tx_fifo.total_written = state["tx_written"]
-        self.tx_fifo.total_read = state["tx_read"]
-        self.rx_fifo._items.clear()
-        self.rx_fifo._items.extend(state["rx_items"])
-        self.rx_fifo.total_written = state["rx_written"]
-        self.rx_fifo.total_read = state["rx_read"]
+        self._tx_thread.prestart(state["wake_time_ps"])
         self.interrupt_enabled = state["interrupt_enabled"]
         self.tx_thread_activations = state["tx_thread_activations"]
         self.transactions = state["transactions"]
         self.console._chars[:] = state["console_chars"]
         self.console.flush_count = state["console_flushes"]
-        wake = state["wake_time_ps"]
-        if wake is not None:
-            event = thread._timeout_event
-            event.cancel()
-            event.notify(wake - self.sim.time_ps)
 
     def state_children(self) -> dict:
-        return {"interrupt": self.interrupt}
+        return {"interrupt": self.interrupt, "tx_fifo": self.tx_fifo,
+                "rx_fifo": self.rx_fifo}
 
-    # -- temporal decoupling (a quantum-level CPU running ahead) -------------
-    def warp_ready(self) -> bool:
+    # -- warp participant (a quantum-level CPU running ahead) ----------------
+    def warp_ready(self, servicing: bool) -> bool:
         """Whether the CPU may run ahead of the clock: the transmit thread
         asleep on its own timeout, and no interrupt generation a warp
         could delay.  A non-empty TX FIFO is fine: the drains the warp
         runs across are replayed (:meth:`resume`)."""
-        thread = self._tx_thread
-        return thread._waiting_time \
-            and thread._timeout_event._pending_kind == "timed" \
+        return self._tx_thread.timed_wake_ps is not None \
             and not self.interrupt_enabled
 
     def park(self) -> None:
         """Hold the transmit thread's wake for the length of a warp.
 
-        The queued notification is marked stale instead of cancelled (a
-        cancel rebuilds the generic engine's heap).  The wake grid is
-        tracked so accesses can replay the drains that precede them.  It
-        is *exact* -- every wake replayed at :meth:`resume` instead of
-        skipped -- when characters are already buffered (their drains are
-        observable), or once the warp replays a drain or writes to it.
+        The wake grid is tracked so accesses can replay the drains that
+        precede them.  It is *exact* -- every wake replayed at
+        :meth:`resume` instead of skipped -- when characters are already
+        buffered (their drains are observable), or once the warp replays
+        a drain or writes to it.
         """
-        event = self._tx_thread._timeout_event
-        self._parked_wake = self._next_wake = event._pending_time
+        self._parked_wake = self._next_wake = self._tx_thread.hold_wake()
         self._exact = not self.tx_fifo.empty
-        event._pending_kind = None
 
     def unpark(self) -> None:
         """Revive the parked wake in place (the warp charged nothing)."""
-        event = self._tx_thread._timeout_event
-        event._pending_kind = "timed"
-        event._pending_time = self._parked_wake
+        self._tx_thread.revive_wake()
 
     def resume(self, now: int) -> None:
         """Re-arm the transmit thread after a warp that ended at ``now``.
@@ -261,7 +231,6 @@ class UartLite(OpbSlave):
         drain timing match the per-cycle path; any other resumes at its
         parked wake, or the first grid point at or after ``now``.
         """
-        event = self._tx_thread._timeout_event
         wake = self._parked_wake
         if self._exact:
             self.catch_up(now - 1)
@@ -269,7 +238,7 @@ class UartLite(OpbSlave):
         elif wake < now:
             sleep_ps = self.tx_sleep_cycles * self.clock.period_ps
             wake += -(-(now - wake) // sleep_ps) * sleep_ps
-        event.notify(wake - now)
+        self._tx_thread.wake_at(wake)
 
     def catch_up(self, edge_ps: int) -> None:
         """Replay the parked thread's drain wakes due up to ``edge_ps``
@@ -297,16 +266,13 @@ class UartLite(OpbSlave):
             or (address - self.base_address) & 0xF != self.REG_CONTROL \
             or not value & self.CONTROL_ENABLE_INTERRUPT
 
-    def warp_access(self, address: int, value, size: int, edge_ps: int,
-                    horizon_ps):
+    def warp_access(self, address: int, value, size: int, edge_ps: int):
         """Replay the drains due by the access edge first (their timed
         wakes were queued cycles earlier), then perform the access."""
         self.catch_up(edge_ps)
-        if value is None:
-            return self.target_read(address, size)
-        self._exact = True
-        self.target_write(address, value, size)
-        return None
+        if value is not None:
+            self._exact = True
+        return super().warp_access(address, value, size, edge_ps)
 
     def _transmit_thread(self):
         """Drain the TX FIFO towards the console.

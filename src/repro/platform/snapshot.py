@@ -85,7 +85,7 @@ def capture_snapshot(platform, variant: Optional[str] = None) \
     process runnable and no pending update or delta notification.
     """
     sim = platform.sim
-    if sim._runnable or sim._update_queue or sim._delta_events:
+    if not sim.quiescent:
         raise ModelError(
             "snapshot requires a quiescent simulation (pending processes "
             "or notifications); run to an instruction budget first")

@@ -15,11 +15,11 @@ from typing import Optional
 
 from ..bus import (BUS_SIGNAL, DATA_MASTER, INSTRUCTION_MASTER,
                    LocalMemoryBus, OpbArbiter, OpbInterconnect,
-                   OpbMasterPort, SignalFabric, create_fabric)
+                   OpbMasterPort, SignalFabric, WarpParticipant,
+                   create_fabric)
 from ..isa.assembler import Program
 from ..iss import (CPU_QUANTUM, InvalidatingDirectMemory,
-                   KernelFunctionInterceptor, MicroBlazeWrapper,
-                   QuantumContext)
+                   KernelFunctionInterceptor, MicroBlazeWrapper)
 from ..kernel import Module, SimComponent, SimulationEngine, create_engine
 from ..kernel.simtime import SimTime
 from ..peripherals import (ConsoleSink, EthernetMacProxy, FlashController,
@@ -192,20 +192,12 @@ class VanillaNetPlatform(SimComponent):
         # position (no-op on single-node platforms, which never link).
         self.ethernet.tx_master = self.microblaze
         if config.cpu_level == CPU_QUANTUM:
-            extra_processes = []
+            participants = [self.intc, self.console_uart, self.debug_uart,
+                            self.timer, self.ethernet]
             if self._combined is not None:
-                extra_processes.append(self._combined.process)
-            else:
-                extra_processes.append(self.timer._count_process)
-                extra_processes.append(self.intc._poll_process)
+                participants.append(self._combined)
             self.microblaze.enable_quantum(
-                QuantumContext(
-                    clock=self.clock,
-                    uarts=(self.console_uart, self.debug_uart),
-                    timer=self.timer,
-                    intc=self.intc,
-                    extra_processes=extra_processes,
-                    ethernet=self.ethernet),
+                participants,
                 quantum_instructions=config.quantum_instructions)
 
         # -- tracing -----------------------------------------------------------------------
@@ -389,7 +381,7 @@ class VanillaNetPlatform(SimComponent):
                 f"cycles={self.cycle_count})")
 
 
-class _CombinedSynchronousLogic(Module):
+class _CombinedSynchronousLogic(Module, WarpParticipant):
     """Section 4.5.1: three synchronous processes folded into one.
 
     The timer count, interrupt-controller poll and bus arbitration run as
@@ -407,12 +399,12 @@ class _CombinedSynchronousLogic(Module):
         self.timer = timer
         self.intc = intc
         self.arbiter = arbiter
-        self.process = self.sc_method(self._combined_tick,
-                                      sensitive=[clock.posedge_event()],
-                                      dont_initialize=True)
+        self.warp_processes = (self.sc_method(
+            self._combined_tick, sensitive=[clock.posedge_event()],
+            dont_initialize=True),)
 
     def _combined_tick(self) -> None:
-        self.timer._count()
-        self.intc._poll_inputs()
+        self.timer.tick()
+        self.intc.poll_inputs()
         if self.arbiter is not None:
-            self.arbiter._arbitrate()
+            self.arbiter.arbitrate()

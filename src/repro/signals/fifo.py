@@ -17,13 +17,14 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Generic, Optional, TypeVar
 
+from ..kernel.component import SimComponent
 from ..kernel.events import Event
 from ..kernel.engine import SimulationEngine
 
 ItemT = TypeVar("ItemT")
 
 
-class Fifo(Generic[ItemT]):
+class Fifo(SimComponent, Generic[ItemT]):
     """A bounded first-in first-out channel."""
 
     def __init__(self, sim: SimulationEngine, name: str, depth: int = 16) -> None:
@@ -94,6 +95,20 @@ class Fifo(Generic[ItemT]):
         if items:
             self._data_read_event.notify_delta()
         return items
+
+    # -- checkpoint / restore ------------------------------------------------
+    def capture_state(self) -> dict:
+        """The stored items, oldest first, and the totals."""
+        return {"items": list(self._items),
+                "total_written": self.total_written,
+                "total_read": self.total_read}
+
+    def restore_state(self, state: dict) -> None:
+        """Restore :meth:`capture_state` output (no event is notified)."""
+        self._items.clear()
+        self._items.extend(state["items"])
+        self.total_written = state["total_written"]
+        self.total_read = state["total_read"]
 
     # -- events ----------------------------------------------------------------
     def data_written_event(self) -> Event:

@@ -21,7 +21,7 @@ import pytest
 from repro.bus import BUS_FUNCTIONAL, BUS_SIGNAL, BUS_TRANSACTION
 from repro.iss import CPU_CYCLE, CPU_QUANTUM
 from repro.kernel import (ENGINE_CLOCKED, ENGINE_GENERIC, KernelError,
-                          ModelError)
+                          ModelError, capture_tree, restore_tree)
 from repro.platform import (VanillaNetPlatform, VariantName, variant_config)
 from repro.software import BootParams, build_boot_program
 
@@ -209,19 +209,20 @@ class TestEthernetInterruptLevel:
     The proxy's original ``capture_state`` returned only the register
     file, so a snapshot taken with the RX interrupt line asserted
     restored with it deasserted -- the restored run then never took the
-    pending interrupt.
+    pending interrupt.  The line is the MAC's state child, so the tree
+    walk carries it.
     """
 
     def test_peripheral_state_roundtrips_asserted_line(self):
         source = build_platform().ethernet
         source.interrupt.force(1)
-        state = source.capture_state()
-        assert state["interrupt_level"] == 1
+        tree = capture_tree(source)
 
         target = build_platform().ethernet
         assert target.interrupt.value == 0
-        target.restore_state(state)
+        restore_tree(target, tree)
         assert target.interrupt.value == 1
+        assert target.interrupt.pending_value == 1
 
     def test_linked_fifo_state_roundtrips(self):
         class _StubLink:
