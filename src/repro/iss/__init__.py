@@ -1,6 +1,6 @@
 """MicroBlaze ISS: functional core, statistics, interception, SystemC wrapper."""
 
-from .core import MicroBlazeCore, StepResult
+from .core import MicroBlazeCore
 from .functional import FunctionalMicroBlaze
 from .interception import (InterceptionResult, InvalidatingDirectMemory,
                            KernelFunctionInterceptor, memcpy_handler,
@@ -20,7 +20,6 @@ __all__ = [
     "KernelFunctionInterceptor",
     "MicroBlazeCore",
     "MicroBlazeWrapper",
-    "StepResult",
     "cpu_levels",
     "memcpy_handler",
     "memset_handler",

@@ -1,20 +1,22 @@
 """MicroBlaze instruction-set simulator core.
 
-The core is a *functional* model: it executes one instruction per
-:meth:`MicroBlazeCore.step` against abstract ``fetch`` / ``load`` /
-``store`` callbacks and knows nothing about buses or simulation time.  The
-SystemC-style wrapper (:mod:`repro.iss.wrapper`) supplies callbacks that
-perform pin/cycle-accurate OPB transactions; the fast non-cycle-accurate
-paths supply callbacks that talk to the memory dispatcher directly.  This
-mirrors the paper's structure, where "a notably large component is the
-Xilinx MicroBlaze ISS, which is standard C++ implementation wrapped in a
-SystemC module" (section 4).
+The core is a *functional* model: it executes instructions against
+abstract ``fetch`` / ``load`` / ``store`` callbacks and knows nothing about
+buses or simulation time.  Every executor retires an instruction the same
+way: :meth:`MicroBlazeCore.entry_for` finds (or builds) the decoded entry
+of the word fetched from the PC and :meth:`MicroBlazeCore.execute_decoded`
+runs it.  :meth:`MicroBlazeCore.step` is that sequence on the ``fetch``
+callback; the SystemC-style wrapper (:mod:`repro.iss.wrapper`) calls the
+two itself around its pin/cycle-accurate OPB transactions, and its
+temporally-decoupled fast path around accesses served without simulated
+time.  This mirrors the paper's structure, where "a notably large
+component is the Xilinx MicroBlaze ISS, which is standard C++
+implementation wrapped in a SystemC module" (section 4).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..datatypes import WORD_MASK, mask, sign_extend, to_signed, truncate
@@ -50,36 +52,6 @@ LoadFn = Callable[[int, int], int]
 StoreFn = Callable[[int, int, int], None]
 
 
-@dataclass
-class StepResult:
-    """Outcome of executing a single instruction."""
-
-    pc: int                      # address of the executed instruction
-    instruction: Instruction
-    next_pc: int                 # architectural PC after the instruction
-    took_branch: bool = False
-    took_interrupt: bool = False
-    memory_address: Optional[int] = None
-    memory_is_store: bool = False
-
-
-class DecodedCacheState(SimComponent):
-    """State-protocol face of a core's decoded-program cache.
-
-    The cache entries hold handlers and compiled traces bound to their
-    core's register file and cannot be serialized; the component therefore
-    captures nothing
-    and restoring simply invalidates the cache so a restored core rebuilds
-    its entries deterministically on demand.
-    """
-
-    def __init__(self, core: "MicroBlazeCore") -> None:
-        self._core = core
-
-    def restore_state(self, state: dict) -> None:
-        self._core.clear_decoded_cache()
-
-
 class MicroBlazeCore(SimComponent):
     """Architectural state and instruction semantics of the MicroBlaze."""
 
@@ -94,7 +66,6 @@ class MicroBlazeCore(SimComponent):
         self.ear = 0
         self.esr = 0
         self.reset_pc = reset_pc
-        self.halted = False
         self.interrupt_pending = False
         self.stats = ExecutionStatistics()
         self.decode_cache = DecodeCache()
@@ -104,10 +75,9 @@ class MicroBlazeCore(SimComponent):
         self._imm_prefix: Optional[int] = None
         self._branch_after_delay: Optional[int] = None
         self._dispatch = self._build_dispatch()
-        #: Address-keyed decoded-program cache (the temporally-decoupled
-        #: fast path's working set; see :meth:`build_decoded`).
+        #: Address-keyed decoded-program cache, the one form every
+        #: executor retires from (see :meth:`entry_for`).
         self._decoded: dict[int, DecodedEntry] = {}
-        self._decoded_state = DecodedCacheState(self)
 
     # ------------------------------------------------------------------ #
     # control
@@ -119,7 +89,6 @@ class MicroBlazeCore(SimComponent):
         self.pc = self.reset_pc
         self.ear = 0
         self.esr = 0
-        self.halted = False
         self.interrupt_pending = False
         self._imm_prefix = None
         self._branch_after_delay = None
@@ -145,114 +114,48 @@ class MicroBlazeCore(SimComponent):
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
-    def step(self, take_interrupts: bool = True) -> StepResult:
-        """Fetch, decode and execute exactly one instruction.
+    def step(self) -> Optional[DecodedEntry]:
+        """Take a pending interrupt, or fetch and execute one instruction.
 
-        ``take_interrupts=False`` commits the instruction even when an
-        interrupt is pending.  The cycle-accurate wrapper performs the
-        instruction's bus accesses *before* this zero-time execute; an
-        interrupt that rises during those accesses (a device write
-        raising its own level source) must wait for the next boundary --
-        vectoring here would leave the access's side effect in the
-        device and then re-execute the instruction after the handler.
+        Returns the executed entry, or None when the core vectored to the
+        interrupt handler instead.
         """
-        if self.halted:
-            raise ModelError("cannot step a halted core")
-        if take_interrupts and self._should_take_interrupt():
-            return self._take_interrupt()
-
-        pc = self.pc
-        word = self.fetch(pc)
-        instruction = self.decode_cache.lookup(word)
-        in_delay_slot = self._branch_after_delay is not None
-
-        handler = self._dispatch.get(instruction.mnemonic)
-        if handler is None:
-            raise ModelError(f"unimplemented mnemonic "
-                             f"{instruction.mnemonic!r} at {pc:#010x}")
-        outcome = handler(instruction)
-        target, took_branch, mem_addr, mem_is_store = outcome
-
-        if instruction.mnemonic != "imm":
-            self._imm_prefix = None
-
-        if in_delay_slot:
-            next_pc = self._branch_after_delay
-            self._branch_after_delay = None
-        elif took_branch and instruction.delay_slot:
-            # The branch target applies after the next (delay-slot) word.
-            self._branch_after_delay = target
-            next_pc = (pc + 4) & WORD_MASK
-        elif took_branch:
-            next_pc = target
-        else:
-            next_pc = (pc + 4) & WORD_MASK
-
-        self.pc = next_pc
-        self.stats.record_instruction(instruction, pc,
-                                      took_branch=took_branch)
-        return StepResult(pc=pc, instruction=instruction, next_pc=next_pc,
-                          took_branch=took_branch,
-                          memory_address=mem_addr,
-                          memory_is_store=mem_is_store)
-
-    def run(self, max_instructions: int = 1_000_000,
-            until_pc: Optional[int] = None) -> int:
-        """Functional (untimed) execution loop.
-
-        Runs until ``until_pc`` is reached, the core halts, or
-        ``max_instructions`` have retired.  Returns the number of retired
-        instructions.  The cycle-accurate platform does *not* use this loop;
-        it steps the core from its SystemC-style wrapper instead.
-        """
-        executed = 0
-        while executed < max_instructions and not self.halted:
-            if until_pc is not None and self.pc == until_pc \
-                    and not self.in_delay_slot:
-                break
-            self.step()
-            executed += 1
-        return executed
+        if self.interrupt_will_be_taken():
+            self.take_interrupt()
+            return None
+        entry = self.entry_for(self.pc, self.fetch(self.pc))
+        self.execute_decoded(entry)
+        return entry
 
     def interrupt_will_be_taken(self) -> bool:
-        """True when the *next* ``step`` will vector to the interrupt handler.
+        """True when the next instruction boundary vectors to the interrupt
+        handler (see :meth:`take_interrupt`)."""
+        return (self.interrupt_pending
+                and self.msr.interrupt_enable
+                and not self.in_delay_slot
+                and self._imm_prefix is None)
 
-        The cycle-accurate wrapper uses this to skip the instruction fetch
-        for that step (the interrupt entry does not consume a bus transfer).
+    def take_interrupt(self) -> None:
+        """Vector to the interrupt handler instead of the next instruction.
+
+        Valid only when :meth:`interrupt_will_be_taken`; the entry fetches
+        nothing, so the cycle-accurate wrapper charges it without a bus
+        transfer.
         """
-        return self._should_take_interrupt()
+        self.regs.write(INTERRUPT_LINK_REGISTER, self.pc)
+        self.msr.interrupt_enable = False
+        self.pc = enc.INTERRUPT_VECTOR
+        self.stats.record_interrupt()
 
     def preview_effective_address(self, instruction: Instruction) -> int:
         """Effective address the given load/store will use, without side
-        effects.  Valid only immediately before stepping that instruction."""
+        effects.  Valid only immediately before executing that instruction."""
         return self._effective_address(instruction)
 
     def preview_store_value(self, instruction: Instruction) -> int:
         """Value the given store instruction will write (pre-step preview)."""
         return self.regs.values[instruction.rd] \
             & _SIZE_MASKS[instruction.access_size]
-
-    # ------------------------------------------------------------------ #
-    # interrupt entry
-    # ------------------------------------------------------------------ #
-    def _should_take_interrupt(self) -> bool:
-        return (self.interrupt_pending
-                and self.msr.interrupt_enable
-                and not self.in_delay_slot
-                and self._imm_prefix is None)
-
-    def _take_interrupt(self) -> StepResult:
-        return_address = self.pc
-        self.regs.write(INTERRUPT_LINK_REGISTER, return_address)
-        self.msr.interrupt_enable = False
-        self.pc = enc.INTERRUPT_VECTOR
-        self.stats.record_interrupt()
-        dummy = Instruction(word=0, opcode=0, mnemonic="<interrupt>",
-                            fmt=enc.Format.TYPE_A, rd=0, ra=0, rb=0, imm=0,
-                            function=0)
-        return StepResult(pc=return_address, instruction=dummy,
-                          next_pc=self.pc, took_branch=True,
-                          took_interrupt=True)
 
     # ------------------------------------------------------------------ #
     # operand helpers
@@ -313,7 +216,8 @@ class MicroBlazeCore(SimComponent):
             dispatch[mnemonic] = self._exec_store
         return dispatch
 
-    _NO_BRANCH = (0, False, None, False)
+    #: Each handler returns ``(branch target, took_branch)``.
+    _NO_BRANCH = (0, False)
 
     def _exec_add(self, instruction: Instruction) -> tuple:
         a = self.regs.values[instruction.ra]
@@ -464,7 +368,7 @@ class MicroBlazeCore(SimComponent):
             else truncate(pc + value, 32)
         if instruction.link:
             self.regs.write(instruction.rd, pc)
-        return (target, True, None, False)
+        return (target, True)
 
     def _exec_cond_branch(self, instruction: Instruction) -> tuple:
         pc = self.pc
@@ -475,7 +379,7 @@ class MicroBlazeCore(SimComponent):
             if instruction.fmt is _TYPE_B \
             else self.regs.read(instruction.rb)
         target = truncate(pc + offset, 32)
-        return (target, True, None, False)
+        return (target, True)
 
     def _exec_return(self, instruction: Instruction) -> tuple:
         base = self.regs.read(instruction.ra)
@@ -484,7 +388,7 @@ class MicroBlazeCore(SimComponent):
             self.msr.interrupt_enable = True
         elif instruction.mnemonic == "rtbd":
             self.msr.break_in_progress = False
-        return (target, True, None, False)
+        return (target, True)
 
     def _exec_imm(self, instruction: Instruction) -> tuple:
         self._imm_prefix = instruction.imm
@@ -496,7 +400,7 @@ class MicroBlazeCore(SimComponent):
         value = self.load(address, size)
         self.regs.write(instruction.rd, value & _SIZE_MASKS[size])
         self.stats.loads += 1
-        return (0, False, address, False)
+        return self._NO_BRANCH
 
     def _exec_store(self, instruction: Instruction) -> tuple:
         address = self._effective_address(instruction)
@@ -504,9 +408,8 @@ class MicroBlazeCore(SimComponent):
         value = self.regs.values[instruction.rd] & _SIZE_MASKS[size]
         self.store(address, value, size)
         self.stats.stores += 1
-        if self._decoded:
-            self.invalidate_code(address, size)
-        return (0, False, address, True)
+        self.invalidate_code(address, size)
+        return self._NO_BRANCH
 
     def _effective_address(self, instruction: Instruction) -> int:
         values = self.regs.values
@@ -515,11 +418,26 @@ class MicroBlazeCore(SimComponent):
         return (values[instruction.ra] + offset) & WORD_MASK
 
     # ------------------------------------------------------------------ #
-    # decoded-program cache (the temporally-decoupled fast path)
+    # decoded-program cache (what every executor retires from)
     # ------------------------------------------------------------------ #
     def decoded_entry(self, pc: int) -> Optional[DecodedEntry]:
         """The cached decoded entry at ``pc`` (None on a miss)."""
         return self._decoded.get(pc)
+
+    def entry_for(self, pc: int, word: int) -> DecodedEntry:
+        """The decoded entry of ``word``, just fetched from ``pc``.
+
+        The cached entry, unless the word changed since it was decoded
+        (memory written without a store through this core, say by a
+        testbench or DMA): then it is dropped like a store into code
+        drops it, and rebuilt from the fresh word.
+        """
+        entry = self._decoded.get(pc)
+        if entry is not None:
+            if entry.word == word:
+                return entry
+            self.invalidate_code(pc, 4)
+        return self.build_decoded(pc, word)
 
     def build_decoded(self, pc: int, word: int) -> DecodedEntry:
         """Decode ``word`` at ``pc`` into a cached entry."""
@@ -537,15 +455,15 @@ class MicroBlazeCore(SimComponent):
         return entry
 
     def execute_decoded(self, entry: DecodedEntry) -> bool:
-        """Execute a cached entry; returns ``took_branch``.
+        """Retire the entry fetched from the PC; returns ``took_branch``.
 
-        Replicates :meth:`step` exactly, minus the fetch (the caller has
-        already routed it) and the interrupt check (the caller only runs
-        decoded entries while no interrupt can be pending).
+        The caller has fetched the word (see :meth:`entry_for`) and checked
+        for an interrupt; a load returns what the ``load`` callback
+        answers, so a wrapper that performed the access on a bus first
+        answers with the value it read.
         """
         pc = self.pc
-        target, took_branch, _mem_addr, _mem_is_store = \
-            entry.handler(entry.instruction)
+        target, took_branch = entry.handler(entry.instruction)
 
         if not entry.is_imm:
             self._imm_prefix = None
@@ -647,7 +565,6 @@ class MicroBlazeCore(SimComponent):
             "pc": self.pc,
             "ear": self.ear,
             "esr": self.esr,
-            "halted": self.halted,
             "interrupt_pending": self.interrupt_pending,
             "imm_prefix": self._imm_prefix,
             "branch_after_delay": self._branch_after_delay,
@@ -671,7 +588,6 @@ class MicroBlazeCore(SimComponent):
         self.pc = state["pc"]
         self.ear = state["ear"]
         self.esr = state["esr"]
-        self.halted = state["halted"]
         self.interrupt_pending = state["interrupt_pending"]
         self._imm_prefix = state["imm_prefix"]
         self._branch_after_delay = state["branch_after_delay"]
@@ -685,9 +601,6 @@ class MicroBlazeCore(SimComponent):
         # Any decoded entries compiled against the pre-restore state are
         # stale; drop them (they are rebuilt deterministically on demand).
         self.clear_decoded_cache()
-
-    def state_children(self) -> dict:
-        return {"decoded_cache": self._decoded_state}
 
     # ------------------------------------------------------------------ #
     # debugging helpers

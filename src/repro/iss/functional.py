@@ -30,18 +30,13 @@ class FunctionalMicroBlaze:
 
     def __init__(self, memory_map: Optional[MemoryMap] = None,
                  memory_size: int = 0x10000,
-                 reset_pc: int = 0,
-                 use_decoded_cache: bool = False) -> None:
+                 reset_pc: int = 0) -> None:
         if memory_map is None:
             memory_map = MemoryMap([MemoryStorage("ram", 0, memory_size)])
         self.memory = memory_map
         self._io_regions: list[tuple[int, int, ReadHook, WriteHook]] = []
         self.core = MicroBlazeCore(fetch=self._fetch, load=self._load,
                                    store=self._store, reset_pc=reset_pc)
-        #: Execute through the address-keyed decoded-program cache instead
-        #: of re-decoding each fetched word (same architectural results;
-        #: store-driven invalidation keeps it SMC-safe).
-        self.use_decoded_cache = use_decoded_cache
         self.symbols: Optional[SymbolTable] = None
         self.interceptor: Optional[KernelFunctionInterceptor] = None
 
@@ -108,7 +103,6 @@ class FunctionalMicroBlaze:
             halt_address = self.symbols.get(halt_symbol)
         executed = 0
         core = self.core
-        use_cache = self.use_decoded_cache
         while executed < max_instructions:
             if halt_address is not None and core.pc == halt_address \
                     and not core.in_delay_slot:
@@ -117,14 +111,7 @@ class FunctionalMicroBlaze:
                 self.interceptor.maybe_intercept(core)
                 if halt_address is not None and core.pc == halt_address:
                     break
-            if use_cache and not core.interrupt_will_be_taken():
-                pc = core.pc
-                entry = core.decoded_entry(pc)
-                if entry is None:
-                    entry = core.build_decoded(pc, self._fetch(pc))
-                core.execute_decoded(entry)
-            else:
-                core.step()
+            core.step()
             executed += 1
         return executed
 

@@ -159,8 +159,6 @@ class KernelFunctionInterceptor:
         self.memory = memory
         self.enabled = enabled
         self._handlers: Dict[int, tuple[str, HandlerFn]] = {}
-        #: History of interceptions (function name per hit), newest last.
-        self.history: list[InterceptionResult] = []
 
     # -- registration ---------------------------------------------------------
     def register(self, address: int, name: str, handler: HandlerFn) -> None:
@@ -218,7 +216,6 @@ class KernelFunctionInterceptor:
         return_address = (core.regs.read(LINK_REGISTER) + 8) & 0xFFFF_FFFF
         core.pc = return_address
         core.stats.record_interception(result.skipped_instructions)
-        self.history.append(result)
         return result
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections import Counter
 from typing import Optional
 
-from ..isa.decoder import Instruction
 from ..isa.symbols import SymbolTable
 
 
@@ -36,7 +35,7 @@ class ExecutionStatistics:
         self.per_function: Counter[str] = Counter()
         #: Simulated clock cycles attributed by the wrapper (not the core).
         self.cycles = 0
-        #: Decoded-program cache entries built (address-keyed fast path).
+        #: Decoded-program cache entries built (one per PC and word).
         self.decoded_entries = 0
         #: Decoded-program cache entries dropped by stores into code.
         self.decoded_invalidations = 0
@@ -57,18 +56,6 @@ class ExecutionStatistics:
     def attach_symbols(self, symbols: SymbolTable) -> None:
         """Attach (or replace) the symbol table used for profiling."""
         self.symbols = symbols
-
-    def record_instruction(self, instruction: Instruction, pc: int,
-                           took_branch: bool = False) -> None:
-        """Record one retired instruction at ``pc``."""
-        self.instructions_retired += 1
-        self.per_mnemonic[instruction.mnemonic] += 1
-        if took_branch:
-            self.branches_taken += 1
-        if self.symbols is not None:
-            function = self.symbols.containing(pc)
-            if function is not None:
-                self.per_function[function] += 1
 
     def record_interrupt(self) -> None:
         """Record one taken interrupt."""

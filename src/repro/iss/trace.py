@@ -416,7 +416,7 @@ def _build(src: _Source, head: int, loops: bool) -> Trace:
     if carry:
         out.append("    c = msr.carry")
     for name, storage in src.storages.values():
-        out.append(f"    {name} = {src.bind(storage)}._data")
+        out.append(f"    {name} = {src.bind(storage)}.buffer")
     out += ["    n = 0", "    while True:"]
     out += ["        " + line for line in body]
     out += [f"    R[{r}] = r{r}" for r in written]

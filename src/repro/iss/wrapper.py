@@ -51,6 +51,9 @@ from .trace import (IE_SETTING_MNEMONICS, DeviceRegion, TraceRegion,
 #: Cycles accounted for vectoring to the interrupt handler.
 INTERRUPT_ENTRY_CYCLES = 2
 
+#: Cycles between a finished CPU's polls for a new budget or halt target.
+IDLE_POLL_CYCLES = 64
+
 #: Cycle cost of a dispatcher-served access (hoisted for the warp loop).
 DISPATCHER_ACCESS_CYCLES = MemoryDispatcher.ACCESS_CYCLES
 
@@ -87,8 +90,7 @@ class MicroBlazeWrapper(Module, SimComponent):
         self.lmb = lmb
         self.dispatcher = dispatcher
         self.interceptor = interceptor
-        self.core = MicroBlazeCore(fetch=self._serve_fetch,
-                                   load=self._serve_load,
+        self.core = MicroBlazeCore(load=self._serve_load,
                                    store=self._capture_store,
                                    reset_pc=reset_pc)
         #: Address that stops execution when the PC reaches it.
@@ -120,7 +122,6 @@ class MicroBlazeWrapper(Module, SimComponent):
         #: Bumped whenever instruction routing may have changed (memory
         #: suppression toggles); stale per-entry fetch timings re-route.
         self._route_epoch = 0
-        self._fetched_word = 0
         self._load_value = 0
         self._instruction_cycles = 0
         self.main_process = self.sc_thread(
@@ -135,9 +136,6 @@ class MicroBlazeWrapper(Module, SimComponent):
             self.interrupt_signal = None
 
     # -- core memory-interface callbacks -------------------------------------
-    def _serve_fetch(self, address: int) -> int:
-        return self._fetched_word
-
     def _serve_load(self, address: int, size: int) -> int:
         return self._load_value
 
@@ -216,7 +214,6 @@ class MicroBlazeWrapper(Module, SimComponent):
             "max_instructions": self.max_instructions,
             "halt_address": self.halt_address,
             "route_epoch": self._route_epoch,
-            "fetched_word": self._fetched_word,
             "load_value": self._load_value,
             "instruction_cycles": self._instruction_cycles,
             "wake_time_ps": wake,
@@ -237,7 +234,6 @@ class MicroBlazeWrapper(Module, SimComponent):
         self.max_instructions = state["max_instructions"]
         self.halt_address = state["halt_address"]
         self._route_epoch = state["route_epoch"]
-        self._fetched_word = state["fetched_word"]
         self._load_value = state["load_value"]
         self._instruction_cycles = state["instruction_cycles"]
 
@@ -250,7 +246,9 @@ class MicroBlazeWrapper(Module, SimComponent):
         while True:
             if self.finished:
                 # Idle until a new budget or halt target re-arms execution.
-                yield self.clock.period_ps * 64
+                yield self.clock.period_ps * IDLE_POLL_CYCLES
+                if self.finished and not self._warp_blocked:
+                    yield from self._idle_warp()
                 continue
             if self._should_stop():
                 self.finished = True
@@ -271,7 +269,7 @@ class MicroBlazeWrapper(Module, SimComponent):
                     continue
             self._instruction_cycles = 0
             if core.interrupt_will_be_taken():
-                core.step()
+                core.take_interrupt()
                 core.stats.add_cycles(INTERRUPT_ENTRY_CYCLES)
                 for __ in range(INTERRUPT_ENTRY_CYCLES):
                     yield None
@@ -279,23 +277,22 @@ class MicroBlazeWrapper(Module, SimComponent):
             # ---- instruction fetch ---------------------------------------
             pc = core.pc
             word = yield from self._fetch(pc)
-            instruction = core.decode_cache.lookup(word)
+            entry = core.entry_for(pc, word)
             # ---- data access (performed ahead of the zero-time execute) --
-            if instruction.is_load:
-                address = core.preview_effective_address(instruction)
+            if entry.is_load:
+                address = core.preview_effective_address(entry.instruction)
                 self._load_value = yield from self._data_read(
-                    address, instruction.access_size)
-            elif instruction.is_store:
-                address = core.preview_effective_address(instruction)
-                value = core.preview_store_value(instruction)
+                    address, entry.access_size)
+            elif entry.is_store:
+                address = core.preview_effective_address(entry.instruction)
+                value = core.preview_store_value(entry.instruction)
                 yield from self._data_write(address, value,
-                                            instruction.access_size)
+                                            entry.access_size)
             # ---- execute in zero simulation time --------------------------
             # The fetch and data access above already happened on the bus;
             # an interrupt that rose during them waits for the next
             # boundary (the will-be-taken check at the top of the loop).
-            self._fetched_word = word
-            core.step(take_interrupts=False)
+            core.execute_decoded(entry)
             core.stats.add_cycles(self._instruction_cycles)
 
     def _should_stop(self) -> bool:
@@ -385,31 +382,14 @@ class MicroBlazeWrapper(Module, SimComponent):
         dispatcher = self.dispatcher
         transport = self.transport
         interceptor = self.interceptor
-        participants = self._participants
         surfacing = self._surfacing
-        posedge = self.clock.posedge_event()
         period = self.clock.period_ps
-        # ---- detach the clocked world ---------------------------------
-        detached = posedge.static_processes
-        for process in detached:
-            posedge.remove_static(process)
         # Latched while the core holds an unserviced interrupt request
         # (stable for the whole warp: the detached controller poll is the
         # only writer).  Guards the IE-setting instructions below.
         guard_ie = core.interrupt_pending
-        # ---- warp bound -----------------------------------------------
-        # Never warp past the end of the kernel's current run window: a
-        # bounded ``run_cycles`` call must return with the same cycles
-        # charged at every abstraction level, so stimulus the testbench
-        # applies between run calls (suppression toggles, injected
-        # characters) lands on the same instruction it would per-cycle.
         warp_start = self.sim.time_ps
-        end_time = self.sim.run_end_ps
-        for participant in participants:
-            bound_ps = participant.park()
-            if bound_ps is not None \
-                    and (end_time is None or bound_ps < end_time):
-                end_time = bound_ps
+        detached, end_time = self._park_world()
         hard_bound = None if end_time is None \
             else (end_time - warp_start) // period
         budget = None
@@ -528,12 +508,7 @@ class MicroBlazeWrapper(Module, SimComponent):
                             ended = "fetch"
                             break
                         word, fetch_cycles = served
-                    if entry is None:
-                        entry = core.build_decoded(pc, word)
-                    elif word != entry.word:
-                        # Self-modified since decode: rebuild from the fresh word.
-                        core.invalidate_code(pc, 4)
-                        entry = core.build_decoded(pc, word)
+                    entry = core.entry_for(pc, word)
                     entry.fetch_cycles = fetch_cycles
                     entry.fetch_epoch = epoch
                 # ---- compiled traces --------------------------------------
@@ -706,10 +681,7 @@ class MicroBlazeWrapper(Module, SimComponent):
             # Nothing charged: restore the world untouched, zero cost.  The
             # parked notifications are revived in place via the kernel's
             # staleness rule, so no queue traffic happens either.
-            for process in detached:
-                posedge.add_static(process)
-            for participant in participants:
-                participant.unpark()
+            self._unpark_world(detached, charged=False)
             return False
         stats.add_cycles(cycles)
         stats.quantum_warps += 1
@@ -719,16 +691,76 @@ class MicroBlazeWrapper(Module, SimComponent):
         if cycles > charged:
             self.decoupled_until_ps = warp_start + cycles * period
             yield (cycles - charged) * period
-        # ---- reconcile ------------------------------------------------
-        for process in detached:
-            posedge.add_static(process)
-        now = self.sim.time_ps
-        for participant in participants:
-            participant.resume(now)
+        self._unpark_world(detached, charged=True)
         # Re-align with the rising edge this wait matured on.
         yield None
         self.decoupled_until_ps = None
         return True
+
+    def _idle_warp(self):
+        """Sleep a finished CPU's idle polls with the clocked world parked.
+
+        A finished execute thread only polls every ``IDLE_POLL_CYCLES``
+        cycles for a new budget or halt target, while the participants'
+        clock processes keep ticking.  Once this edge has ticked, the idle
+        warp parks them as a warp does for as many whole polls as fit
+        before the earliest bound a participant sets and the end of the
+        run window, then resumes them: the thread wakes where its polls
+        would have, and every device catches up as after a warp.  No
+        instruction retires, so no warp statistic moves.  It charges
+        nothing when a participant has a horizon (a linked MAC) or when
+        not one poll fits.
+        """
+        yield None  # start behind this edge's ticks, as a warp does
+        if not self._quantum_can_engage():
+            return
+        poll = self.clock.period_ps * IDLE_POLL_CYCLES
+        start = self.sim.time_ps
+        detached, end_time = self._park_world()
+        polls = 0 if end_time is None else (end_time - start) // poll
+        charged = polls > 0 and all(
+            participant.warp_horizon_ps() is None
+            for participant in self._surfacing)
+        if charged:
+            yield polls * poll
+        self._unpark_world(detached, charged)
+
+    def _park_world(self):
+        """Detach every rising-edge process and park the participants.
+
+        Returns the detached processes and the earliest time the warp must
+        end at: the first bound a participant sets when it parks (the
+        timer's expiry), or the end of the kernel's run window.  A bounded
+        ``run_cycles`` call must return with the same cycles charged at
+        every abstraction level, so stimulus the testbench applies between
+        run calls (suppression toggles, injected characters) lands on the
+        same instruction it would per-cycle.
+        """
+        posedge = self.clock.posedge_event()
+        detached = posedge.static_processes
+        for process in detached:
+            posedge.remove_static(process)
+        end_time = self.sim.run_end_ps
+        for participant in self._participants:
+            bound_ps = participant.park()
+            if bound_ps is not None \
+                    and (end_time is None or bound_ps < end_time):
+                end_time = bound_ps
+        return detached, end_time
+
+    def _unpark_world(self, detached, charged: bool) -> None:
+        """Re-attach ``detached`` and let the participants catch up with
+        the cycles the warp charged, or undo their parking when it charged
+        none."""
+        posedge = self.clock.posedge_event()
+        for process in detached:
+            posedge.add_static(process)
+        now = self.sim.time_ps
+        for participant in self._participants:
+            if charged:
+                participant.resume(now)
+            else:
+                participant.unpark()
 
     # -- compiled traces -------------------------------------------------------
     def _install_trace(self, recording, next_pc: int, stop: str,

@@ -17,7 +17,7 @@ from .clocked import ClockedEngine
 from .component import (SCOPE_ARCHITECTURAL, SCOPE_BUS_LEVEL, SimComponent,
                         capture_tree, iter_components, restore_tree)
 from .engine import (ENGINE_CLOCKED, ENGINE_GENERIC, SimulationEngine,
-                     create_engine, engine_kinds, engine_names)
+                     create_engine, engine_kinds)
 from .errors import (AddressError, AlignmentError, AssemblerError,
                      BindingError, DecodeError, KernelError, ModelError,
                      MultipleDriverError, ReproError, SimulationFinished,
@@ -40,7 +40,6 @@ __all__ = [
     "capture_tree",
     "create_engine",
     "engine_kinds",
-    "engine_names",
     "iter_components",
     "restore_tree",
     "AddressError",

@@ -445,8 +445,3 @@ def create_engine(kind: str = ENGINE_GENERIC,
 def engine_kinds() -> tuple[str, ...]:
     """All engine selector names accepted by :func:`create_engine`."""
     return tuple(_engine_registry())
-
-
-def engine_names() -> tuple[str, ...]:
-    """Alias of :func:`engine_kinds` (the configuration layer's wording)."""
-    return engine_kinds()

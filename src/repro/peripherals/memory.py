@@ -12,6 +12,7 @@ MicroBlaze is big-endian; all multi-byte accesses here are big-endian.
 
 from __future__ import annotations
 
+import mmap
 from typing import Iterable, Optional
 
 from ..datatypes import mask
@@ -20,7 +21,15 @@ from ..kernel.errors import AddressError, AlignmentError
 
 
 class MemoryStorage(SimComponent):
-    """A contiguous byte array with word/halfword/byte accessors."""
+    """A contiguous byte array with word/halfword/byte accessors.
+
+    The bytes live in :attr:`buffer`, a private anonymous mapping: pages
+    the program never writes are never touched, and a forked process gets
+    its own copy of every page either side writes.  Everything that
+    changes the contents (:meth:`fill` and :meth:`restore_state`
+    included) writes in place, so an alias of ``buffer`` (a compiled
+    trace binds one) always sees the current contents.
+    """
 
     def __init__(self, name: str, base_address: int, size: int,
                  read_only: bool = False,
@@ -31,7 +40,9 @@ class MemoryStorage(SimComponent):
         self.base_address = base_address
         self.size = size
         self.read_only = read_only
-        self._data = bytearray([fill & 0xFF]) * size
+        self.buffer = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+        if fill & 0xFF:
+            self.fill(fill)
         #: Access counters (reads/writes through any path).
         self.read_accesses = 0
         self.write_accesses = 0
@@ -64,7 +75,7 @@ class MemoryStorage(SimComponent):
         """Read ``size`` bytes (1, 2 or 4), big-endian."""
         offset = self._offset(address, size)
         self.read_accesses += 1
-        return int.from_bytes(self._data[offset:offset + size], "big")
+        return int.from_bytes(self.buffer[offset:offset + size], "big")
 
     def write(self, address: int, value: int, size: int = 4,
               force: bool = False) -> None:
@@ -77,7 +88,7 @@ class MemoryStorage(SimComponent):
                                f"at {address:#010x}")
         offset = self._offset(address, size)
         self.write_accesses += 1
-        self._data[offset:offset + size] = (value & mask(size * 8)).to_bytes(
+        self.buffer[offset:offset + size] = (value & mask(size * 8)).to_bytes(
             size, "big")
 
     def read_bytes(self, address: int, length: int) -> bytes:
@@ -87,7 +98,7 @@ class MemoryStorage(SimComponent):
         """
         offset = address - self.base_address
         self.read_accesses += length
-        return bytes(self._data[offset:offset + length])
+        return self.buffer[offset:offset + length]
 
     def write_bytes(self, address: int, data: bytes) -> None:
         """Write ``data`` at once, counted as ``len(data)`` byte writes.
@@ -97,7 +108,7 @@ class MemoryStorage(SimComponent):
         """
         offset = address - self.base_address
         self.write_accesses += len(data)
-        self._data[offset:offset + len(data)] = data
+        self.buffer[offset:offset + len(data)] = data
 
     # -- convenience accessors --------------------------------------------------------
     def read_word(self, address: int) -> int:
@@ -126,29 +137,29 @@ class MemoryStorage(SimComponent):
         offset = address - self.base_address
         if self.read_only and not force:
             raise AddressError(f"cannot load into read-only {self.name!r}")
-        self._data[offset:offset + len(data)] = data
+        self.buffer[offset:offset + len(data)] = data
 
     def dump(self, address: int, length: int) -> bytes:
         """Copy ``length`` bytes starting at ``address``."""
         offset = self._offset(address, 1)
-        return bytes(self._data[offset:offset + length])
+        return self.buffer[offset:offset + length]
 
     def fill(self, value: int = 0) -> None:
-        """Fill the whole memory with ``value``."""
-        self._data = bytearray([value & 0xFF]) * self.size
+        """Fill the whole memory with the byte ``value``, in place."""
+        self.buffer[:] = bytes((value & 0xFF,)) * self.size
 
     # -- checkpoint / restore ----------------------------------------------
     def capture_state(self) -> dict:
         """Full contents plus the access counters."""
         return {
-            "data": bytes(self._data),
+            "data": bytes(self.buffer),
             "read_accesses": self.read_accesses,
             "write_accesses": self.write_accesses,
         }
 
     def restore_state(self, state: dict) -> None:
-        """Overwrite the contents in place (aliases to ``_data`` survive)."""
-        self._data[:] = state["data"]
+        """Overwrite the contents in place (aliases to ``buffer`` survive)."""
+        self.buffer[:] = state["data"]
         self.read_accesses = state["read_accesses"]
         self.write_accesses = state["write_accesses"]
 

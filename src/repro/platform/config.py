@@ -15,7 +15,7 @@ from enum import Enum
 
 from ..bus.transport import BUS_SIGNAL, bus_levels
 from ..iss.wrapper import CPU_CYCLE, CPU_QUANTUM, cpu_levels
-from ..kernel.engine import ENGINE_GENERIC, engine_names
+from ..kernel.engine import ENGINE_GENERIC, engine_kinds
 from ..kernel.simtime import SimTime
 from ..signals import DataMode
 
@@ -222,9 +222,9 @@ def variant_config(variant: VariantName,
     if variant is VariantName.RTL_HDL:
         raise ValueError("the RTL HDL baseline is built by repro.rtl, "
                          "not from a ModelConfig")
-    if engine not in engine_names():
+    if engine not in engine_kinds():
         raise ValueError(f"unknown engine {engine!r}; "
-                         f"expected one of {sorted(engine_names())}")
+                         f"expected one of {sorted(engine_kinds())}")
     if bus_level not in bus_levels():
         raise ValueError(f"unknown bus level {bus_level!r}; "
                          f"expected one of {sorted(bus_levels())}")

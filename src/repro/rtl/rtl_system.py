@@ -191,6 +191,7 @@ class RtlVanillaNetSystem(SimComponent):
         self.memory.load_program(program)
         self.core.pc = program.entry_point
         self.core.stats.attach_symbols(program.symbols)
+        self.core.clear_decoded_cache()
         self.halt_address = program.symbols.get(halt_symbol)
 
     # -- execution ----------------------------------------------------------------------
@@ -277,7 +278,9 @@ class _RtlControlFsm(Module, SimComponent):
         self.system = system
         self._state = self.STATE_FETCH
         self._wait = FETCH_CYCLES
-        self._pending_instruction = None
+        #: The decoded entry in flight and its effective address.
+        self._pending = None
+        self._address = 0
         #: Retired instructions (matches the semantic core's statistics).
         self.instructions_retired = 0
         self.sc_method(self._tick, sensitive=[clock.posedge_event()],
@@ -292,39 +295,40 @@ class _RtlControlFsm(Module, SimComponent):
         if self._wait > 0:
             return
         if self._state == self.STATE_FETCH:
-            word = system.memory.read(system.core.pc, 4)
+            pc = system.core.pc
+            word = system.memory.read(pc, 4)
             system.ir_register.load(word)
-            system.pc_register.load(system.core.pc)
-            self._pending_instruction = system.core.decode_cache.lookup(word)
+            system.pc_register.load(pc)
+            self._pending = system.core.entry_for(pc, word)
             self._enter(self.STATE_DECODE, DECODE_CYCLES)
         elif self._state == self.STATE_DECODE:
             self._enter(self.STATE_EXECUTE, EXECUTE_CYCLES)
         elif self._state == self.STATE_EXECUTE:
-            if self._pending_instruction is not None \
-                    and self._pending_instruction.is_memory_access:
-                address = system.core.preview_effective_address(
-                    self._pending_instruction)
-                system.mar_register.load(address)
+            pending = self._pending
+            if pending is not None and (pending.is_load or pending.is_store):
+                self._address = system.core.preview_effective_address(
+                    pending.instruction)
+                system.mar_register.load(self._address)
                 self._enter(self.STATE_MEMORY, MEMORY_CYCLES)
             else:
                 self._enter(self.STATE_WRITEBACK, WRITEBACK_CYCLES)
         elif self._state == self.STATE_MEMORY:
             self._enter(self.STATE_WRITEBACK, WRITEBACK_CYCLES)
         else:  # WRITEBACK: commit the architectural effect
-            result = system.core.step()
+            entry = system.core.step()
+            memory = entry.is_load or entry.is_store
             self.instructions_retired += 1
             system.core.stats.add_cycles(
                 FETCH_CYCLES + DECODE_CYCLES + EXECUTE_CYCLES
-                + WRITEBACK_CYCLES
-                + (MEMORY_CYCLES if result.memory_address is not None else 0))
-            destination = result.instruction.rd
+                + WRITEBACK_CYCLES + (MEMORY_CYCLES if memory else 0))
+            destination = entry.instruction.rd
             if 0 < destination < 32:
                 system.register_file[destination].load(
                     system.core.regs.read(destination))
             system.pc_register.load(system.core.pc)
             system.msr_register.load(system.core.msr.value)
-            if result.memory_address is not None:
-                system.mdr_register.load(result.memory_address & 0xFFFF_FFFF)
+            if memory:
+                system.mdr_register.load(self._address)
             self._enter(self.STATE_FETCH, FETCH_CYCLES)
 
     def _enter(self, state: int, wait: int) -> None:
@@ -336,8 +340,8 @@ class _RtlControlFsm(Module, SimComponent):
         """FSM position and retirement counter.
 
         Only meaningful between instructions (``STATE_FETCH``): the
-        in-flight decoded instruction is a compiled object and is rebuilt
-        by the next fetch rather than serialized.
+        in-flight decoded entry holds a bound handler and is rebuilt by
+        the next fetch rather than serialized.
         """
         return {"state": self._state, "wait": self._wait,
                 "instructions_retired": self.instructions_retired}

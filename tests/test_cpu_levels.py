@@ -207,7 +207,8 @@ class TestCrossLevelIdentity:
 
 
 class TestDecodedCacheInvalidation:
-    """Satellite: self-modifying code, decoded cache on and off."""
+    """Satellite: self-modifying code on the decoded entries every
+    executor retires from."""
 
     PATCH_PASSES = 3
 
@@ -241,27 +242,32 @@ _halt:
 
     EXPECTED_R3 = 201
 
-    def test_functional_iss_cache_off_reference(self):
-        system = FunctionalMicroBlaze(use_decoded_cache=False)
+    def run_smc_program(self):
+        system = FunctionalMicroBlaze()
         system.memory = _bram_backed_memory()
         system.load_program(self.smc_program())
         system.run(max_instructions=10_000)
         assert system.register(3) == self.EXPECTED_R3
+        return system
+
+    def test_functional_iss_rebuilds_on_changed_word(self):
+        """A write that bypasses the core's stores (a testbench poke)
+        drops no entry; the word check at the next fetch rebuilds it."""
+        system = self.run_smc_program()
+        stats = system.core.stats
+        dropped = stats.decoded_invalidations
+        patch = system.symbols.address_of("patch")
+        system.memory.write(patch, assemble("addik r3, r3, -1").words()[0][1])
+        system.core.pc = patch
+        system.core.step()
+        assert system.register(3) == self.EXPECTED_R3 - 1
+        assert stats.decoded_invalidations == dropped + 1
 
     def test_functional_iss_invalidates_on_store(self):
-        results = {}
-        for cached in (False, True):
-            system = FunctionalMicroBlaze(use_decoded_cache=cached)
-            system.memory = _bram_backed_memory()
-            system.load_program(self.smc_program())
-            retired = system.run(max_instructions=10_000)
-            results[cached] = (retired, system.register(3),
-                              system.register(22))
-            assert system.register(3) == self.EXPECTED_R3
-            if cached:
-                assert system.core.stats.decoded_invalidations > 0
-                assert system.core.stats.decoded_entries > 0
-        assert results[False] == results[True]
+        stats = self.run_smc_program().core.stats
+        # The patching store drops the one stale entry.
+        assert stats.decoded_invalidations == 1
+        assert stats.decoded_entries > 0
 
     @pytest.mark.parametrize("engine", [ENGINE_GENERIC, ENGINE_CLOCKED])
     def test_platform_smc_identity_across_levels(self, engine):
@@ -288,16 +294,19 @@ _halt:
 
     def test_interception_writes_invalidate(self):
         """Native memset/memcpy writes go through the invalidating DMI
-        facade, so interception stays SMC-safe with the cache on."""
-        results = {}
-        for cached in (False, True):
-            system = FunctionalMicroBlaze(use_decoded_cache=cached)
+        facade: they give the executed routines' checksum and drop no
+        decoded code outside the range they write."""
+        for intercept in (False, True):
+            system = FunctionalMicroBlaze()
             system.memory = _bram_backed_memory()
-            system.load_program(memory_exercise_program())
-            assert system.enable_interception() > 0
+            system.load_program(memory_exercise_program(region_bytes=64))
+            if intercept:
+                assert system.enable_interception() == 2
             system.run(max_instructions=100_000)
-            results[cached] = system.register(3)
-        assert results[False] == results[True]
+            stats = system.core.stats
+            assert system.register(3) == 64 * 0xA5
+            assert stats.interception_hits == (2 if intercept else 0)
+            assert stats.decoded_invalidations == 0
 
 
 def _bram_backed_memory():
@@ -345,6 +354,28 @@ class TestQuantumBoundarySemantics:
                 == quantum.statistics.instructions_retired
             assert cycle.cycle_count == quantum.cycle_count
             assert cycle.console_output == quantum.console_output
+
+    @pytest.mark.parametrize("engine", [ENGINE_GENERIC, ENGINE_CLOCKED])
+    def test_halted_cpu_sleeps_its_idle_polls(self, engine):
+        """A halted quantum-level CPU sleeps its idle polls with the
+        clocked world parked, and the devices and every count come out
+        as on the per-cycle path."""
+        results, idle_activations = {}, {}
+        for level in cpu_levels():
+            platform = boot_platform(VariantName.SUPPRESS_MAIN_MEMORY,
+                                     level, engine=engine)
+            assert platform.run_until_halt(max_cycles=900_000,
+                                           chunk_cycles=2_000)
+            kernel = platform.sim.stats
+            before = kernel.process_activations
+            platform.run_cycles(6_400)
+            idle_activations[level] = kernel.process_activations - before
+            results[level] = observe(platform)
+        assert results[CPU_CYCLE] == results[CPU_QUANTUM]
+        # Per cycle, the combined timer/controller tick alone runs at
+        # every edge of the idle window.
+        assert idle_activations[CPU_CYCLE] >= 6_400
+        assert idle_activations[CPU_QUANTUM] < 6_400 // 8
 
     def test_small_quantum_still_identical(self):
         """A quantum size that never divides the workload's run lengths."""

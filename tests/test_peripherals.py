@@ -63,6 +63,15 @@ class TestMemoryStorage:
         assert memory.read_accesses == 2
         assert memory.write_accesses == 1
 
+    def test_fill_writes_in_place(self):
+        """A compiled trace binds the public buffer once; a later fill
+        must show through that alias."""
+        memory = MemoryStorage("ram", 0, 0x10)
+        alias = memory.buffer
+        memory.fill(0xAA)
+        assert alias[:] == b"\xAA" * 0x10
+        assert memory.buffer is alias
+
     @given(st.integers(min_value=0, max_value=0xFFFF_FFFF),
            st.integers(min_value=0, max_value=0x3C))
     def test_word_roundtrip_property(self, value, offset):
